@@ -23,6 +23,7 @@ from .spectral import (
     _oscillator_coefficients,
     discriminant_angles,
 )
+from .trace import HubSeries
 
 
 class Branch(Enum):
@@ -76,10 +77,7 @@ def theta1_approx(n_clique: int, alpha: float) -> float:
 def probability_approx(n_clique: int, alpha: float, t: int) -> float:
     """Leading-order hub probability sin^2(t theta_1) / 2, with the exact
     principal angle for m = floor(N^alpha) and the o(1) remainder dropped."""
-    m = leaves_from_alpha(n_clique, alpha)
-    theta_1 = discriminant_angles(n_clique, m).theta_1
-    s = math.sin(t * theta_1)
-    return 0.5 * s * s
+    return float(hub_series(n_clique, alpha, [t])[0][0])
 
 
 def optimal_time_exact(n_clique: int, n_leaves: int) -> int:
@@ -125,25 +123,24 @@ class CoefficientEstimates:
     r_star_bound: float
 
 
+def _leading_scales(n: float, alpha: float) -> tuple[float, ...]:
+    """Branch leading terms (c1, k1 / sin(t theta_1), s1 / sin(t theta_1))."""
+    branch = AsymptoticRegime.from_alpha(alpha).branch
+    if branch is Branch.SUB:
+        c1 = n ** ((1.0 - alpha) / 2.0) / math.sqrt(2.0)
+        return c1, n ** (alpha - 1.0), n ** ((alpha - 1.0) / 2.0)
+    if branch is Branch.CRITICAL:
+        return 1.0, 0.5, 0.5
+    return 1.0 / math.sqrt(2.0), 1.0, 0.0
+
+
 def coefficient_estimates(n_clique: int, alpha: float, t: int) -> CoefficientEstimates:
     """Leading-order c1, k1, s1 at time t and o(1) bounds for the rest."""
     regime = AsymptoticRegime.from_alpha(alpha)
     m = leaves_from_alpha(n_clique, alpha)
-    n = float(n_clique)
     ang = discriminant_angles(n_clique, m)
     oscillation = math.sin(t * ang.theta_1)
-    if regime.branch is Branch.SUB:
-        c1 = n ** ((1.0 - alpha) / 2.0) / math.sqrt(2.0)
-        k1 = n ** (alpha - 1.0) * oscillation
-        s1 = n ** ((alpha - 1.0) / 2.0) * oscillation
-    elif regime.branch is Branch.CRITICAL:
-        c1 = 1.0
-        k1 = 0.5 * oscillation
-        s1 = 0.5 * oscillation
-    else:
-        c1 = 1.0 / math.sqrt(2.0)
-        k1 = oscillation
-        s1 = 0.0
+    c1, k_scale, s_scale = _leading_scales(float(n_clique), alpha)
     exact = _oscillator_coefficients(n_clique, m, t, TABULATED_SECOND_OFFSET)
     hub_weight = 1.0 / (n_clique + m - 1)
     k2_sup = abs(ang.cos_theta_2) + (n_clique - 1) * hub_weight
@@ -151,13 +148,25 @@ def coefficient_estimates(n_clique: int, alpha: float, t: int) -> CoefficientEst
     return CoefficientEstimates(
         branch=regime.branch,
         c1=c1,
-        k1=k1,
-        s1=s1,
+        k1=k_scale * oscillation,
+        s1=s_scale * oscillation,
         c2k2_bound=abs(exact.c2) * k2_sup,
         c2s2_bound=abs(exact.c2) * s2_sup,
         r_clique_bound=abs(exact.r_clique),
         r_star_bound=abs(exact.r_star),
     )
+
+
+def hub_series(n_clique: int, alpha: float, times: Sequence[int]) -> HubSeries:
+    """Leading-order hub series: p = sin^2(t theta_1) / 2 and the amplitudes
+    c1 k1 and -c1 s1, whose squared moduli sum to (1 + N^(alpha-1)) p
+    below the transition."""
+    c1, k_scale, s_scale = _leading_scales(float(n_clique), alpha)
+    theta_1 = discriminant_angles(n_clique, leaves_from_alpha(n_clique, alpha)).theta_1
+    oscillation = np.sin(np.asarray(times, dtype=np.float64) * theta_1)
+    clique_in = (c1 * (k_scale * oscillation)).astype(np.complex128)
+    star_in = (-c1 * (s_scale * oscillation)).astype(np.complex128)
+    return 0.5 * oscillation * oscillation, clique_in, star_in
 
 
 @dataclass(frozen=True)

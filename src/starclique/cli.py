@@ -3,10 +3,10 @@ diagrams, and cross-evaluator verification, all emitting machine-readable
 files.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 resource budget exceeded.  Output files are written to a temporary name
-and renamed into place, so a partial file is never left behind; nothing is
-written at all on a configuration error.  Relative --out paths resolve
-against $STARCLIQUE_OUT_DIR when it is set.
+3 resource budget exceeded, 4 output file cannot be written.  Output files
+are written to a temporary name and renamed into place, so a partial file
+is never left behind; nothing is written at all on a configuration error.
+Relative --out paths resolve against $STARCLIQUE_OUT_DIR when it is set.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-
-import numpy as np
+from functools import partial
 
 from . import __version__
 from . import asymptotics as asym
 from . import collapsed as cw
 from . import full_walk as fw
-from .graph import ArcClass, LeafPhase, build_graph, leaves_from_alpha
+from .graph import LeafPhase, build_graph, leaves_from_alpha
 from .spectral import EigenbasisEvaluator, audit_closed_forms
 from .trace import ProbabilityTrace
 from .verify import run_checks
@@ -43,6 +42,10 @@ class ConfigError(Exception):
 
 class ArcBudgetError(Exception):
     """Arc count beyond the configured budget; maps to exit code 3."""
+
+
+class OutputError(Exception):
+    """Output file cannot be written; maps to exit code 4."""
 
 
 @dataclass(frozen=True)
@@ -62,9 +65,13 @@ def _resolve_sizes(args: argparse.Namespace) -> Sizes:
     if args.alpha is None and args.m is None:
         raise ConfigError("one of --alpha or --m is required")
     if args.alpha is not None:
-        if args.alpha < 0:
-            raise ConfigError(f"--alpha must be nonnegative, got {args.alpha}")
-        return Sizes(n=args.n, m=leaves_from_alpha(args.n, args.alpha), alpha=args.alpha)
+        if not (math.isfinite(args.alpha) and args.alpha >= 0):
+            raise ConfigError(f"--alpha must be finite and >= 0, got {args.alpha}")
+        try:
+            m = leaves_from_alpha(args.n, args.alpha)
+        except OverflowError:
+            raise ConfigError(f"leaf count {args.n}**{args.alpha} overflows") from None
+        return Sizes(n=args.n, m=m, alpha=args.alpha)
     if args.m < 1:
         raise ConfigError(f"--m must be at least 1, got {args.m}")
     return Sizes(n=args.n, m=args.m, alpha=None)
@@ -88,15 +95,17 @@ def _out_path(args: argparse.Namespace, default_name: str) -> str:
 
 def _atomic_write(path: str, write) -> None:
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".starclique-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".starclique-", suffix=".tmp")
         with os.fdopen(fd, "w") as stream:
             write(stream)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _trace_metadata(sizes: Sizes, mode: str, phase: LeafPhase) -> dict[str, str]:
@@ -130,57 +139,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.mode not in _MODES:
         raise ConfigError(f"unknown mode {args.mode!r}")
     phase = _PHASES[args.leaf_phase]
-    steps = args.steps
+    if args.mode in ("closed", "asymptotic") and phase is not LeafPhase.REVERSAL:
+        raise ConfigError(f"{args.mode} mode evaluates the phase-reversal walk only")
+    if args.mode == "asymptotic" and sizes.alpha is None:
+        raise ConfigError("asymptotic mode requires --alpha")
 
+    # the mode's evaluator with its setup bound: times -> HubSeries
     if args.mode == "full":
         _check_arc_budget(sizes, args.arc_budget)
         graph = build_graph(sizes.n, sizes.m)
-        trace = fw.evolve(graph, fw.initial_state(graph), steps, phase)
+        series = partial(fw.hub_series, graph, fw.initial_state(graph), phase)
     elif args.mode == "collapsed":
         ops = cw.build_reduced_operators(sizes.n, sizes.m, phase)
-        trace = cw.evolve_collapsed(
-            ops, cw.collapsed_initial_state(sizes.n, sizes.m), steps
-        )
+        start = cw.collapsed_initial_state(sizes.n, sizes.m)
+        series = partial(cw.hub_series, ops, start)
     elif args.mode == "closed":
-        if phase is not LeafPhase.REVERSAL:
-            raise ConfigError("closed mode evaluates the phase-reversal walk only")
-        evaluator = EigenbasisEvaluator(sizes.n, sizes.m)
-        times = np.arange(steps + 1)
-        states = evaluator.state_series(times)
-        clique_in = states[:, ArcClass.CLIQUE_IN]
-        star_in = states[:, ArcClass.STAR_IN]
-        trace = ProbabilityTrace(
-            times=times.astype(np.int64),
-            p_hub=np.abs(clique_in) ** 2 + np.abs(star_in) ** 2,
-            psi_clique_in=clique_in,
-            psi_star_in=star_in,
-        )
-    else:  # asymptotic
-        if phase is not LeafPhase.REVERSAL:
-            raise ConfigError("asymptotic mode evaluates the phase-reversal walk only")
-        if sizes.alpha is None:
-            raise ConfigError("asymptotic mode requires --alpha")
-        times = np.arange(steps + 1, dtype=np.int64)
-        p = np.array(
-            [asym.probability_approx(sizes.n, sizes.alpha, int(t)) for t in times]
-        )
-        clique_in = np.empty(steps + 1, dtype=np.complex128)
-        star_in = np.empty(steps + 1, dtype=np.complex128)
-        for t in times:
-            est = asym.coefficient_estimates(sizes.n, sizes.alpha, int(t))
-            clique_in[t] = est.c1 * est.k1
-            star_in[t] = -est.c1 * est.s1
-        trace = ProbabilityTrace(
-            times=times, p_hub=p, psi_clique_in=clique_in, psi_star_in=star_in
-        )
-
-    trace = ProbabilityTrace(
-        times=trace.times,
-        p_hub=trace.p_hub,
-        psi_clique_in=trace.psi_clique_in,
-        psi_star_in=trace.psi_star_in,
-        metadata=_trace_metadata(sizes, args.mode, phase),
-    )
+        series = EigenbasisEvaluator(sizes.n, sizes.m).hub_series
+    else:
+        series = partial(asym.hub_series, sizes.n, sizes.alpha)
+    metadata = _trace_metadata(sizes, args.mode, phase)
+    trace = ProbabilityTrace.from_series(series, args.steps, metadata)
     path = _write_trace(args, trace, f"trace_n{sizes.n}_m{sizes.m}_{args.mode}")
     print(path)
     return 0
@@ -216,12 +194,8 @@ def _cmd_optimal_time(args: argparse.Namespace) -> int:
         alpha = math.log(sizes.m) / math.log(sizes.n) if sizes.m > 1 else 0.0
     t_branch = asym.optimal_time_branch(sizes.n, alpha)
     ops = cw.build_reduced_operators(sizes.n, sizes.m, LeafPhase.REVERSAL)
-    psi = cw.collapsed_initial_state(sizes.n, sizes.m).amplitudes
-    for _ in range(t_exact):
-        psi = ops.evolution @ psi
-    p_at_t = float(
-        abs(psi[ArcClass.CLIQUE_IN]) ** 2 + abs(psi[ArcClass.STAR_IN]) ** 2
-    )
+    start = cw.collapsed_initial_state(sizes.n, sizes.m)
+    p_at_t = float(cw.hub_series(ops, start, [t_exact])[0][0])
     record = {
         "n": sizes.n,
         "m": sizes.m,
@@ -424,6 +398,9 @@ def main(argv: list[str] | None = None) -> int:
     except ArcBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .graph import ArcClass, LeafPhase, class_sizes
-from .trace import ProbabilityTrace
+from .trace import HubSeries, ProbabilityTrace, hub_probability
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,9 +118,33 @@ def collapsed_initial_state(n_clique: int, n_leaves: int) -> CollapsedState:
 def success_probability(state: CollapsedState) -> float:
     """Probability of measuring the hub: the squared mass arriving there."""
     amps = state.amplitudes
-    return float(
-        abs(amps[ArcClass.CLIQUE_IN]) ** 2 + abs(amps[ArcClass.STAR_IN]) ** 2
-    )
+    return float(hub_probability(amps[ArcClass.CLIQUE_IN], amps[ArcClass.STAR_IN]))
+
+
+def ascending_steps(times) -> list[int]:
+    """Step counts of an iterative backend's rows; one pass visits them all."""
+    steps = np.asarray(times, dtype=np.int64)
+    if (np.diff(steps, prepend=0) < 0).any():
+        raise ValueError("step counts must be nonnegative and ascending")
+    return steps.tolist()
+
+
+def hub_series(ops: ReducedOperators, state: CollapsedState, times) -> HubSeries:
+    """Hub series after each of the ascending step counts ``times`` from
+    ``state``, iterating the reduced step operator."""
+    steps = ascending_steps(times)
+    evolution = ops.evolution
+    psi = state.amplitudes  # the product below never writes to its input
+    clique_in = np.empty(len(steps), dtype=np.complex128)
+    star_in = np.empty(len(steps), dtype=np.complex128)
+    done = 0
+    for row, t in enumerate(steps):
+        for _ in range(t - done):
+            psi = evolution @ psi
+        done = t
+        clique_in[row] = psi[ArcClass.CLIQUE_IN]
+        star_in[row] = psi[ArcClass.STAR_IN]
+    return hub_probability(clique_in, star_in), clique_in, star_in
 
 
 def evolve_collapsed(
@@ -130,30 +155,11 @@ def evolve_collapsed(
     Returns a trace of length ``t_max + 1`` whose row ``t`` holds the state
     after ``t`` applications of the evolution.
     """
-    if t_max < 0:
-        raise ValueError(f"t_max must be nonnegative, got {t_max}")
-    evolution = ops.evolution
-    psi = state.amplitudes.astype(np.complex128, copy=True)
-    p = np.empty(t_max + 1, dtype=np.float64)
-    clique_in = np.empty(t_max + 1, dtype=np.complex128)
-    star_in = np.empty(t_max + 1, dtype=np.complex128)
-    for t in range(t_max + 1):
-        if t:
-            psi = evolution @ psi
-        p[t] = abs(psi[ArcClass.CLIQUE_IN]) ** 2 + abs(psi[ArcClass.STAR_IN]) ** 2
-        clique_in[t] = psi[ArcClass.CLIQUE_IN]
-        star_in[t] = psi[ArcClass.STAR_IN]
-    times = np.arange(state.time, state.time + t_max + 1, dtype=np.int64)
     metadata = {
         "n": str(ops.n_clique),
         "m": str(ops.n_leaves),
         "mode": "collapsed",
         "leaf_phase": ops.leaf_phase.value,
     }
-    return ProbabilityTrace(
-        times=times,
-        p_hub=p,
-        psi_clique_in=clique_in,
-        psi_star_in=star_in,
-        metadata=metadata,
-    )
+    series = partial(hub_series, ops, state)
+    return ProbabilityTrace.from_series(series, t_max, metadata, state.time)

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .collapsed import CollapsedState
+from .collapsed import CollapsedState, ascending_steps
 from .graph import ArcClass, GluedGraph, LeafPhase, class_sizes
-from .trace import ProbabilityTrace
+from .trace import HubSeries, ProbabilityTrace
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +119,29 @@ def lift(graph: GluedGraph, state: CollapsedState) -> WalkState:
     return WalkState(amplitudes=per_arc[graph.arc_class], time=state.time)
 
 
+def hub_series(
+    graph: GluedGraph, state: WalkState, leaf_phase: LeafPhase, times
+) -> HubSeries:
+    """Hub series after each of the ascending step counts ``times`` from
+    ``state``; p_hub is measured on the arcs into the hub."""
+    steps = ascending_steps(times)
+    hub_in = np.flatnonzero(graph.terminus == graph.hub)
+    p = np.empty(len(steps), dtype=np.float64)
+    clique_in = np.empty(len(steps), dtype=np.complex128)
+    star_in = np.empty(len(steps), dtype=np.complex128)
+    current = state  # step() never writes to its input
+    done = 0
+    for row, t in enumerate(steps):
+        for _ in range(t - done):
+            current = step(graph, current, leaf_phase)
+        done = t
+        p[row] = float(np.sum(np.abs(current.amplitudes[hub_in]) ** 2))
+        classes = _class_amplitudes(graph, current.amplitudes)
+        clique_in[row] = classes[ArcClass.CLIQUE_IN]
+        star_in[row] = classes[ArcClass.STAR_IN]
+    return p, clique_in, star_in
+
+
 def evolve(
     graph: GluedGraph,
     state: WalkState,
@@ -126,32 +150,11 @@ def evolve(
 ) -> ProbabilityTrace:
     """Run ``t_max`` steps, recording the hub probability and the collapsed
     amplitudes on the two hub-bound classes at every step (t_max + 1 rows)."""
-    if t_max < 0:
-        raise ValueError(f"t_max must be nonnegative, got {t_max}")
-    hub_in = np.flatnonzero(graph.terminus == graph.hub)
-    psi = state.amplitudes.astype(np.complex128, copy=True)
-    p = np.empty(t_max + 1, dtype=np.float64)
-    clique_in = np.empty(t_max + 1, dtype=np.complex128)
-    star_in = np.empty(t_max + 1, dtype=np.complex128)
-    current = WalkState(amplitudes=psi, time=state.time)
-    for t in range(t_max + 1):
-        if t:
-            current = step(graph, current, leaf_phase)
-        p[t] = float(np.sum(np.abs(current.amplitudes[hub_in]) ** 2))
-        classes = _class_amplitudes(graph, current.amplitudes)
-        clique_in[t] = classes[ArcClass.CLIQUE_IN]
-        star_in[t] = classes[ArcClass.STAR_IN]
-    times = np.arange(state.time, state.time + t_max + 1, dtype=np.int64)
     metadata = {
         "n": str(graph.n_clique),
         "m": str(graph.n_leaves),
         "mode": "full",
         "leaf_phase": leaf_phase.value,
     }
-    return ProbabilityTrace(
-        times=times,
-        p_hub=p,
-        psi_clique_in=clique_in,
-        psi_star_in=star_in,
-        metadata=metadata,
-    )
+    series = partial(hub_series, graph, state, leaf_phase)
+    return ProbabilityTrace.from_series(series, t_max, metadata, state.time)

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .collapsed import build_reduced_operators, collapsed_initial_state
 from .graph import ArcClass, LeafPhase, class_sizes
+from .trace import HubSeries, hub_probability
 
 #: Relative deviation above which a closed-form component gets flagged.
 FLAG_TOLERANCE = 1e-8
@@ -214,6 +215,7 @@ class SpectrumReport:
     eigenpairs: tuple[EigenPair, ...]
     residuals: tuple[float, ...]
     formula_flags: tuple[str, ...]
+    evaluator: EigenbasisEvaluator = field(repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -301,45 +303,13 @@ def walk_eigensystem(n_clique: int, n_leaves: int) -> SpectrumReport:
     uses the numeric vectors regardless).
     """
     n, m = n_clique, n_leaves
-    ops = build_reduced_operators(n, m, LeafPhase.REVERSAL)
+    evaluator = EigenbasisEvaluator(n, m)
     ang = discriminant_angles(n, m)
-    values, vectors = np.linalg.eig(ops.evolution)
-
-    targets = [
-        cmath.exp(1j * ang.theta_1),
-        cmath.exp(-1j * ang.theta_1),
-        cmath.exp(1j * ang.theta_2),
-        cmath.exp(-1j * ang.theta_2),
-        -1.0 + 0.0j,
-    ]
-    remaining = list(range(5))
-    chosen: list[int] = []
-    for target in targets:
-        j = min(remaining, key=lambda idx: abs(values[idx] - target))
-        chosen.append(j)
-        remaining.remove(j)
-
-    # The -theta vector is the exact conjugate of the +theta one, so each
-    # rotating pair is exactly mutually orthogonal by construction.
-    fixed_vectors: list[np.ndarray] = [np.empty(0)] * 5
-    for base_slot in (0, 2):
-        raw = vectors[:, chosen[base_slot]]
-        plus = _canonical_phase(_symmetrize_pair(raw / np.linalg.norm(raw)))
-        fixed_vectors[base_slot] = plus
-        fixed_vectors[base_slot + 1] = np.conj(plus)
-    raw = vectors[:, chosen[4]]
-    flip = _canonical_phase(raw / np.linalg.norm(raw))
-    flip = flip.real.astype(np.complex128)  # the -1 eigenvector is real
-    flip /= np.linalg.norm(flip)
-    if flip[ArcClass.CLIQUE_IN].real < 0:
-        flip = -flip
-    fixed_vectors[4] = flip
-
     pairs: list[EigenPair] = []
     flags: list[str] = []
     swap_seen = False
-    for slot, target in enumerate(targets):
-        fixed = fixed_vectors[slot]
+    for slot, value in enumerate(evaluator._values.tolist()):
+        fixed = evaluator._vectors[:, slot]
         if slot < 4:
             x = 1 if slot < 2 else 2
             numeric_sign = 1 if slot % 2 == 0 else -1
@@ -351,12 +321,11 @@ def walk_eigensystem(n_clique: int, n_leaves: int) -> SpectrumReport:
             comp = np.abs(candidate - fixed.real)
             dev = float(comp.max())
             swapped = False
-        residual = float(np.linalg.norm(ops.evolution @ fixed - target * fixed))
         pairs.append(
             EigenPair(
-                value=complex(target),
+                value=value,
                 vector=fixed,
-                residual=residual,
+                residual=evaluator.residuals[slot],
                 closed_form_deviation=dev,
                 component_deviations=comp,
                 sign_swapped=swapped,
@@ -364,7 +333,7 @@ def walk_eigensystem(n_clique: int, n_leaves: int) -> SpectrumReport:
         )
         if dev > FLAG_TOLERANCE:
             flags.append(
-                f"eigenvector for {target:+.6g}: closed form deviates by {dev:.3e}"
+                f"eigenvector for {value:+.6g}: closed form deviates by {dev:.3e}"
             )
 
     if swap_seen:
@@ -393,8 +362,9 @@ def walk_eigensystem(n_clique: int, n_leaves: int) -> SpectrumReport:
         alpha_2_sq=vector_normalization_sq(n, m, 2),
         beta_sq=beta_sq,
         eigenpairs=tuple(pairs),
-        residuals=tuple(p.residual for p in pairs),
+        residuals=evaluator.residuals,
         formula_flags=tuple(flags),
+        evaluator=evaluator,
     )
 
 
@@ -431,7 +401,7 @@ class AmplitudePair:
 
     @property
     def probability(self) -> float:
-        return abs(self.psi_clique_in) ** 2 + abs(self.psi_star_in) ** 2
+        return hub_probability(self.psi_clique_in, self.psi_star_in)
 
 
 def _oscillator_coefficients(
@@ -500,17 +470,54 @@ class EigenbasisEvaluator:
     eigenpairs of the reduced step operator and advance the phases.
 
     Immutable after construction and therefore safe to share across
-    threads; evaluation at any time is O(1).
+    threads; evaluation at any time is O(1).  Construction does numeric
+    work only; ``walk_eigensystem`` holds the closed-form comparisons.
     """
 
     def __init__(self, n_clique: int, n_leaves: int):
-        self.report = walk_eigensystem(n_clique, n_leaves)
         self.n_clique = n_clique
         self.n_leaves = n_leaves
-        self._vectors = np.column_stack([p.vector for p in self.report.eigenpairs])
-        self._values = np.array(
-            [p.value for p in self.report.eigenpairs], dtype=np.complex128
+        ops = build_reduced_operators(n_clique, n_leaves, LeafPhase.REVERSAL)
+        ang = discriminant_angles(n_clique, n_leaves)
+        values, vectors = np.linalg.eig(ops.evolution)
+
+        targets = [
+            cmath.exp(1j * ang.theta_1),
+            cmath.exp(-1j * ang.theta_1),
+            cmath.exp(1j * ang.theta_2),
+            cmath.exp(-1j * ang.theta_2),
+            -1.0 + 0.0j,
+        ]
+        remaining = list(range(5))
+        chosen: list[int] = []
+        for target in targets:
+            j = min(remaining, key=lambda idx: abs(values[idx] - target))
+            chosen.append(j)
+            remaining.remove(j)
+
+        # The -theta vector is the exact conjugate of the +theta one, so each
+        # rotating pair is exactly mutually orthogonal by construction.
+        fixed_vectors: list[np.ndarray] = [np.empty(0)] * 5
+        for base_slot in (0, 2):
+            raw = vectors[:, chosen[base_slot]]
+            plus = _canonical_phase(_symmetrize_pair(raw / np.linalg.norm(raw)))
+            fixed_vectors[base_slot] = plus
+            fixed_vectors[base_slot + 1] = np.conj(plus)
+        raw = vectors[:, chosen[4]]
+        flip = _canonical_phase(raw / np.linalg.norm(raw))
+        flip = flip.real.astype(np.complex128)  # the -1 eigenvector is real
+        flip /= np.linalg.norm(flip)
+        if flip[ArcClass.CLIQUE_IN].real < 0:
+            flip = -flip
+        fixed_vectors[4] = flip
+
+        #: |E v - lambda v| per eigenpair, in eigenpair order.
+        self.residuals = tuple(
+            float(np.linalg.norm(ops.evolution @ vector - target * vector))
+            for target, vector in zip(targets, fixed_vectors)
         )
+        self._vectors = np.column_stack(fixed_vectors)
+        self._values = np.array(targets, dtype=np.complex128)
         psi0 = collapsed_initial_state(n_clique, n_leaves).amplitudes
         self._weights = self._vectors.conj().T @ psi0
 
@@ -524,6 +531,13 @@ class EigenbasisEvaluator:
         phases = self._values[None, :] ** ts[:, None]
         return (phases * self._weights[None, :]) @ self._vectors.T
 
+    def hub_series(self, times: Sequence[int]) -> HubSeries:
+        """Hub series at every requested time."""
+        states = self.state_series(times)
+        clique_in = states[:, ArcClass.CLIQUE_IN]
+        star_in = states[:, ArcClass.STAR_IN]
+        return hub_probability(clique_in, star_in), clique_in, star_in
+
     def amplitudes(self, t: int) -> AmplitudePair:
         psi = self.state(t)
         return AmplitudePair(
@@ -536,9 +550,7 @@ class EigenbasisEvaluator:
 
     def probability(self, t: int) -> float:
         psi = self.state(t)
-        return float(
-            abs(psi[ArcClass.CLIQUE_IN]) ** 2 + abs(psi[ArcClass.STAR_IN]) ** 2
-        )
+        return float(hub_probability(psi[ArcClass.CLIQUE_IN], psi[ArcClass.STAR_IN]))
 
     def flip_contribution(self, t: int) -> tuple[complex, complex]:
         """The -1 eigenpair's share of the two hub-bound amplitudes at t."""
@@ -601,13 +613,15 @@ def audit_closed_forms(
     Checks, over the sampled times: the oscillator expansion with the
     tabulated and with the derived second phase offset, and the parity
     terms against the flip eigenvector's exact contribution.  Eigenvector
-    component deviations come from ``walk_eigensystem``.
+    component deviations come from ``walk_eigensystem``, whose evaluator
+    serves as the reference, so one call diagonalizes once.
     """
     n, m = n_clique, n_leaves
     if times is None:
         times = range(201)
-    evaluator = EigenbasisEvaluator(n, m)
-    flags = list(evaluator.report.formula_flags)
+    report = walk_eigensystem(n, m)
+    evaluator = report.evaluator
+    flags = list(report.formula_flags)
 
     amp_dev = 0.0
     corrected_dev = 0.0
@@ -649,15 +663,14 @@ def audit_closed_forms(
             f"by {parity_dev:.3e}"
         )
 
-    beta_exact = flip_normalization_sq(n, m)
     beta_expansion = flip_normalization_sq_expansion(n, m)
     return ClosedFormAudit(
         n_clique=n,
         n_leaves=m,
-        report=evaluator.report,
-        beta_sq_exact=beta_exact,
+        report=report,
+        beta_sq_exact=report.beta_sq,
         beta_sq_expansion=beta_expansion,
-        beta_sq_relative_gap=abs(beta_exact - beta_expansion) / beta_exact,
+        beta_sq_relative_gap=abs(report.beta_sq - beta_expansion) / report.beta_sq,
         amplitude_deviation=amp_dev,
         corrected_amplitude_deviation=corrected_dev,
         parity_term_deviation=parity_dev,

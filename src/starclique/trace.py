@@ -30,6 +30,24 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+#: What every evaluator's ``hub_series(times)`` returns, one row per time:
+#: (p_hub, psi_clique_in, psi_star_in), the columns of a trace.
+HubSeries = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def hub_probability(psi_clique_in, psi_star_in):
+    """|psi_CLIQUE_IN|^2 + |psi_STAR_IN|^2, the probability of measuring the
+    hub, from scalars or arrays of the two hub-bound amplitudes."""
+    return abs(psi_clique_in) ** 2 + abs(psi_star_in) ** 2
+
+
+def _complex(re, im) -> np.ndarray:
+    # parts as floats or decimal strings; re + 1j * im would lose a -0.0 real part
+    out = np.asarray(re, dtype=np.float64).astype(np.complex128)
+    out.imag = np.asarray(im, dtype=np.float64)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class ProbabilityTrace:
     """Hub probability trace with its two component amplitudes.
@@ -54,6 +72,16 @@ class ProbabilityTrace:
 
     def __len__(self) -> int:
         return len(self.times)
+
+    @classmethod
+    def from_series(
+        cls, series, t_max: int, metadata: dict[str, str], start: int = 0
+    ) -> "ProbabilityTrace":
+        """Rows 0..t_max of ``series(times) -> HubSeries``, timed from ``start``."""
+        if t_max < 0:
+            raise ValueError(f"t_max must be nonnegative, got {t_max}")
+        steps = np.arange(t_max + 1, dtype=np.int64)
+        return cls(start + steps, *series(steps), metadata=metadata)
 
     # ---- CSV ----
 
@@ -97,12 +125,8 @@ class ProbabilityTrace:
         return cls(
             times=np.asarray([int(v) for v in cols[0]], dtype=np.int64),
             p_hub=np.asarray([float(v) for v in cols[1]], dtype=np.float64),
-            psi_clique_in=np.asarray(
-                [complex(float(r), float(i)) for r, i in zip(cols[2], cols[3])]
-            ),
-            psi_star_in=np.asarray(
-                [complex(float(r), float(i)) for r, i in zip(cols[4], cols[5])]
-            ),
+            psi_clique_in=_complex(cols[2], cols[3]),
+            psi_star_in=_complex(cols[4], cols[5]),
             metadata=metadata,
         )
 
@@ -130,9 +154,7 @@ class ProbabilityTrace:
         return cls(
             times=np.asarray(cols["t"], dtype=np.int64),
             p_hub=np.asarray(cols["p_vstar"], dtype=np.float64),
-            psi_clique_in=np.asarray(cols["re_psi_clique_in"])
-            + 1j * np.asarray(cols["im_psi_clique_in"]),
-            psi_star_in=np.asarray(cols["re_psi_star_in"])
-            + 1j * np.asarray(cols["im_psi_star_in"]),
+            psi_clique_in=_complex(cols["re_psi_clique_in"], cols["im_psi_clique_in"]),
+            psi_star_in=_complex(cols["re_psi_star_in"], cols["im_psi_star_in"]),
             metadata={k: str(v) for k, v in payload["metadata"].items()},
         )

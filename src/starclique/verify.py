@@ -118,9 +118,8 @@ def run_checks(
     # full evolution vs reduced iteration
     full_trace = fw.evolve(graph, fw.initial_state(graph), steps, full_phase)
     ops = cw.build_reduced_operators(n_clique, n_leaves, leaf_phase)
-    reduced_trace = cw.evolve_collapsed(
-        ops, cw.collapsed_initial_state(n_clique, n_leaves), steps
-    )
+    start = cw.collapsed_initial_state(n_clique, n_leaves)
+    reduced_trace = cw.evolve_collapsed(ops, start, steps)
     dev = float(np.abs(full_trace.p_hub - reduced_trace.p_hub).max())
     checks.append(
         CheckResult(
@@ -196,7 +195,7 @@ def run_checks(
 
     # spectral residuals and eigenbasis evaluator (reversal spectrum)
     evaluator = EigenbasisEvaluator(n_clique, n_leaves)
-    dev = max(evaluator.report.residuals)
+    dev = max(evaluator.residuals)
     checks.append(
         CheckResult(
             name="spectral_residuals",
@@ -206,20 +205,12 @@ def run_checks(
         )
     )
 
-    if leaf_phase is LeafPhase.REVERSAL:
-        reversal_trace = reduced_trace
-    else:
-        reversal_trace = cw.evolve_collapsed(
-            cw.build_reduced_operators(n_clique, n_leaves, LeafPhase.REVERSAL),
-            cw.collapsed_initial_state(n_clique, n_leaves),
-            steps,
-        )
-    series = evaluator.state_series(np.arange(steps + 1))
-    closed_p = (
-        np.abs(series[:, cw.ArcClass.CLIQUE_IN]) ** 2
-        + np.abs(series[:, cw.ArcClass.STAR_IN]) ** 2
-    )
-    dev = float(np.abs(closed_p - reversal_trace.p_hub).max())
+    times = np.arange(steps + 1)
+    reversal_p = reduced_trace.p_hub
+    if leaf_phase is not LeafPhase.REVERSAL:
+        reversal = cw.build_reduced_operators(n_clique, n_leaves, LeafPhase.REVERSAL)
+        reversal_p = cw.hub_series(reversal, start, times)[0]
+    dev = float(np.abs(evaluator.hub_series(times)[0] - reversal_p).max())
     checks.append(
         CheckResult(
             name="eigenbasis_vs_iteration",

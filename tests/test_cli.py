@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -68,18 +69,29 @@ def test_simulate_repeat_is_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_simulate_csv_matches_library_trace(tmp_path):
+def _library_series(mode, n, alpha):
+    m = sc.leaves_from_alpha(n, alpha)
+    if mode == "collapsed":
+        ops = sc.build_reduced_operators(n, m)
+        return partial(sc.collapsed.hub_series, ops, sc.collapsed_initial_state(n, m))
+    if mode == "closed":
+        return sc.EigenbasisEvaluator(n, m).hub_series
+    return partial(sc.asymptotics.hub_series, n, alpha)
+
+
+@pytest.mark.parametrize("mode", ["collapsed", "closed", "asymptotic"])
+def test_simulate_csv_matches_library_trace(tmp_path, mode):
     out = tmp_path / "trace.csv"
     assert (
-        main(["simulate", "--n", "23", "--m", "3", "--steps", "40", "--out", str(out)])
+        main(["simulate", "--n", "23", "--alpha", "0.5", "--steps", "40",
+              "--mode", mode, "--out", str(out)])
         == 0
     )
     parsed = read_trace(out)
-    ops = sc.build_reduced_operators(23, 3)
-    expected = sc.evolve_collapsed(ops, sc.collapsed_initial_state(23, 3), 40)
-    assert np.array_equal(parsed.p_hub, expected.p_hub)
-    assert np.array_equal(parsed.psi_clique_in, expected.psi_clique_in)
-    assert np.array_equal(parsed.psi_star_in, expected.psi_star_in)
+    expected = _library_series(mode, 23, 0.5)(np.arange(41))
+    assert parsed.times.tobytes() == np.arange(41, dtype=np.int64).tobytes()
+    for column, values in zip(("p_hub", "psi_clique_in", "psi_star_in"), expected):
+        assert getattr(parsed, column).tobytes() == values.tobytes()
 
 
 def test_simulate_modes_agree(tmp_path):
@@ -154,12 +166,25 @@ def test_full_mode_arc_budget(tmp_path):
         ["spectrum", "--n", "100", "--m", "5", "--format", "csv"],
         ["phase-diagram", "--n-grid", "256,1024"],
         ["phase-diagram", "--alphas", "0.5"],
+        ["optimal-time", "--n", "1000000", "--alpha", "100"],
+        ["optimal-time", "--n", "100", "--alpha", "nan"],
     ],
 )
 def test_config_errors_leave_no_file(tmp_path, args):
     out = tmp_path / "never.csv"
     assert main(args + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_unwritable_output_exits_4_and_leaves_no_file(tmp_path, capsys):
+    (tmp_path / "taken").mkdir()
+    for out in (tmp_path / "missing" / "trace.csv", tmp_path / "taken"):
+        args = ["simulate", "--n", "10", "--m", "2", "--steps", "5", "--out", str(out)]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert not any((tmp_path / "taken").iterdir())
 
 
 def test_spectrum_smallest(tmp_path):
@@ -191,6 +216,18 @@ def test_optimal_time_large(capsys):
     record = _parse_record(capsys.readouterr().out)
     assert int(record["t_opt_exact"]) == 11107
     assert 0.45 <= float(record["p_at_t_opt"]) <= 0.55
+
+
+@pytest.mark.parametrize("alpha", ["0", "1"])
+def test_optimal_time_probability_is_the_collapsed_trace_row(capsys, alpha):
+    assert main(["optimal-time", "--n", "200", "--alpha", alpha]) == 0
+    record = _parse_record(capsys.readouterr().out)
+    n, m = 200, sc.leaves_from_alpha(200, float(alpha))
+    t_opt = int(record["t_opt_exact"])
+    trace = sc.evolve_collapsed(
+        sc.build_reduced_operators(n, m), sc.collapsed_initial_state(n, m), t_opt
+    )
+    assert float(record["p_at_t_opt"]) == trace.p_hub[t_opt]
 
 
 def test_optimal_time_examples(capsys):

@@ -11,7 +11,7 @@ def _awkward_trace() -> ProbabilityTrace:
     times = np.arange(4, dtype=np.int64)
     p = np.array([1 / 3, 0.1, 5e-324, 1.0 - 1e-16])
     clique = np.array([0.1 + 0.2j, -1 / 7 + 0j, 1e-300 - 1e-17j, 0.0j])
-    star = np.array([0.0j, 0.3 - 0.4j, -0.0 + 0.0j, 1e-15 + 1j * (1 / 9)])
+    star = np.array([0.0j, 0.3 - 0.4j, complex(-0.0, 0.0), 1e-15 + 1j * (1 / 9)])
     meta = {"n": "100", "m": "10", "alpha": "0.5", "mode": "collapsed"}
     return ProbabilityTrace(
         times=times, p_hub=p, psi_clique_in=clique, psi_star_in=star, metadata=meta
@@ -39,6 +39,8 @@ def test_json_round_trip_is_exact():
     assert np.array_equal(parsed.p_hub, trace.p_hub)
     assert np.array_equal(parsed.psi_clique_in, trace.psi_clique_in)
     assert np.array_equal(parsed.psi_star_in, trace.psi_star_in)
+    # bit for bit, so a -0.0 real part must keep its sign
+    assert parsed.psi_star_in.tobytes() == trace.psi_star_in.tobytes()
     assert parsed.metadata == trace.metadata
 
 
