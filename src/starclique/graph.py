@@ -1,14 +1,12 @@
-"""Arc-level model of a clique with a star glued onto one of its vertices.
+"""Shape of a clique with a star glued onto one of its vertices.
 
 Take the complete graph on ``n_clique`` vertices and identify one of them
 with the center of a star carrying ``n_leaves`` leaves.  The identified
 vertex (the *hub*) is the search target of every walk in this package.
-The graph is stored arc-wise: each undirected edge contributes two mutually
-inverse arcs, and all evolution operators act on vectors indexed by arc id.
-
-Arc ids are contiguous: the clique arcs come first in origin-major,
-terminus-minor order, then the leaf-to-hub arcs, then the hub-to-leaf arcs.
-This makes the inverse map O(1) and keeps iteration cache-friendly.
+Each undirected edge contributes two mutually inverse arcs.  The arc set is
+fixed by the two sizes, so the graph stores only those and the arc count;
+the arc-space walk keeps its amplitudes in a structured layout (see
+``full_walk``) and needs no per-arc index table.
 """
 
 from __future__ import annotations
@@ -18,10 +16,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
-import numpy as np
-
-#: Vertex id of the glued vertex.  The hub always gets the lowest id so that
-#: two builds with the same parameters are byte-identical.
+#: Vertex id of the glued vertex; the hub always gets the lowest id.
 HUB = 0
 
 
@@ -63,22 +58,15 @@ class LeafPhase(Enum):
 
 @dataclass(frozen=True, eq=False)
 class GluedGraph:
-    """Immutable arc table of the glued graph.
+    """Sizes of the glued graph.
 
-    All arrays are indexed by arc id.  ``degree`` is indexed by vertex id
-    (hub = 0, ordinary clique vertices 1..n_clique-1, then the leaves).
-    Safe for concurrent shared reads after construction.
+    Vertex ids: hub = 0, ordinary clique vertices 1..n_clique-1, then the
+    leaves.  Safe for concurrent shared reads.
     """
 
     n_clique: int
     n_leaves: int
     arc_count: int
-    origin: np.ndarray      # int64, shape (arc_count,)
-    terminus: np.ndarray    # int64, shape (arc_count,)
-    inverse: np.ndarray     # int64, shape (arc_count,)
-    arc_class: np.ndarray   # int64, shape (arc_count,), values are ArcClass
-    degree: np.ndarray      # int64, shape (n_vertices,)
-    class_order: np.ndarray  # int64, arc ids sorted by class (stable)
 
     @property
     def n_vertices(self) -> int:
@@ -128,7 +116,7 @@ def class_sizes(n_clique: int, n_leaves: int) -> tuple[int, int, int, int, int]:
 
 
 def build_graph(n_clique: int, n_leaves: int) -> GluedGraph:
-    """Construct the glued graph as an arc table.
+    """Validate the sizes of the glued graph.
 
     Parameters
     ----------
@@ -140,59 +128,12 @@ def build_graph(n_clique: int, n_leaves: int) -> GluedGraph:
     Returns
     -------
     GluedGraph
-        Arc table with ``n_clique*(n_clique-1) + 2*n_leaves`` arcs.
+        The sizes, with ``n_clique*(n_clique-1) + 2*n_leaves`` arcs.
     """
     _validate_sizes(n_clique, n_leaves)
-    n, m = n_clique, n_leaves
-    arc_count = n * (n - 1) + 2 * m
+    arc_count = n_clique * (n_clique - 1) + 2 * n_leaves
     if arc_count > sys.maxsize:
         raise ValueError(
             f"arc count {arc_count} exceeds the platform's addressable size"
         )
-
-    clique_arcs = n * (n - 1)
-    origin = np.empty(arc_count, dtype=np.int64)
-    terminus = np.empty(arc_count, dtype=np.int64)
-    inverse = np.empty(arc_count, dtype=np.int64)
-    arc_class = np.empty(arc_count, dtype=np.int64)
-
-    # Clique block: arc (u -> w) sits at u*(n-1) + w - (w > u).
-    u = np.repeat(np.arange(n, dtype=np.int64), n - 1)
-    slot = np.tile(np.arange(n - 1, dtype=np.int64), n)
-    w = slot + (slot >= u)
-    origin[:clique_arcs] = u
-    terminus[:clique_arcs] = w
-    inverse[:clique_arcs] = w * (n - 1) + u - (u > w)
-    cls = np.full(clique_arcs, ArcClass.CLIQUE_INTERIOR, dtype=np.int64)
-    cls[w == HUB] = ArcClass.CLIQUE_IN
-    cls[u == HUB] = ArcClass.CLIQUE_OUT
-    arc_class[:clique_arcs] = cls
-
-    # Star block: m arcs into the hub, then m arcs out of it.
-    leaves = np.arange(n, n + m, dtype=np.int64)
-    into = np.arange(clique_arcs, clique_arcs + m, dtype=np.int64)
-    out = into + m
-    origin[into] = leaves
-    terminus[into] = HUB
-    origin[out] = HUB
-    terminus[out] = leaves
-    inverse[into] = out
-    inverse[out] = into
-    arc_class[into] = ArcClass.STAR_IN
-    arc_class[out] = ArcClass.STAR_OUT
-
-    degree = np.bincount(terminus, minlength=n + m).astype(np.int64)
-    # class-sorted arc order, so per-class sums can run over contiguous
-    # slices (pairwise summation) instead of sequential scatter-adds
-    class_order = np.argsort(arc_class, kind="stable")
-    return GluedGraph(
-        n_clique=n,
-        n_leaves=m,
-        arc_count=arc_count,
-        origin=origin,
-        terminus=terminus,
-        inverse=inverse,
-        arc_class=arc_class,
-        degree=degree,
-        class_order=class_order,
-    )
+    return GluedGraph(n_clique=n_clique, n_leaves=n_leaves, arc_count=arc_count)

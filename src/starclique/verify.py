@@ -61,13 +61,19 @@ class VerificationReport:
         }
 
 
-def random_walk_states(graph: GluedGraph, count: int, seed: int) -> np.ndarray:
-    """Random unit states on the arc space, one per row."""
+def random_walk_states(graph: GluedGraph, count: int, seed: int) -> list[fw.WalkState]:
+    """Random unit states on the arc space."""
     rng = np.random.default_rng(seed)
-    states = rng.standard_normal((count, graph.arc_count)) + 1j * rng.standard_normal(
-        (count, graph.arc_count)
-    )
-    return states / np.linalg.norm(states, axis=1, keepdims=True)
+    n, m = graph.n_clique, graph.n_leaves
+    size = n * n + 2 * m
+    states = []
+    for _ in range(count):
+        psi = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        clique = psi[: n * n].reshape(n, n)  # a view: the fill writes psi
+        np.fill_diagonal(clique, 0.0)
+        psi /= np.linalg.norm(psi)
+        states.append(fw.WalkState(clique, psi[n * n : n * n + m], psi[n * n + m :]))
+    return states
 
 
 def conjugated_reduced_operator(
@@ -134,12 +140,11 @@ def run_checks(
     # commutation of the step with the class-averaging projection
     states = random_walk_states(graph, n_random_states, seed)
     dev = 0.0
-    for row in states:
-        state = fw.WalkState(amplitudes=row.copy())
+    for state in states:
         projected = fw.lift(graph, fw.collapse(graph, state))
-        left = fw.step(graph, projected, leaf_phase).amplitudes
+        left = fw.arc_amplitudes(fw.step(graph, projected, leaf_phase))
         stepped = fw.step(graph, state, leaf_phase)
-        right = fw.lift(graph, fw.collapse(graph, stepped)).amplitudes
+        right = fw.arc_amplitudes(fw.lift(graph, fw.collapse(graph, stepped)))
         dev = max(dev, float(np.linalg.norm(left - right)))
     checks.append(
         CheckResult(
@@ -153,10 +158,10 @@ def run_checks(
 
     # unitarity of the full step, both leaf phases
     dev = 0.0
-    for row in states:
+    for state in states:
         for phase in (LeafPhase.REVERSAL, LeafPhase.PLAIN):
-            out = fw.step(graph, fw.WalkState(amplitudes=row.copy()), phase)
-            dev = max(dev, abs(float(np.linalg.norm(out.amplitudes)) - 1.0))
+            out = fw.arc_amplitudes(fw.step(graph, state, phase))
+            dev = max(dev, abs(float(np.linalg.norm(out)) - 1.0))
     checks.append(
         CheckResult(
             name="unitarity",
@@ -168,9 +173,9 @@ def run_checks(
 
     # the shift is an exact involution
     dev = 0.0
-    for row in states:
-        twice = fw.shift(graph, fw.shift(graph, row))
-        dev = max(dev, float(np.abs(twice - row).max()))
+    for state in states:
+        twice = fw.arc_amplitudes(fw.shift(graph, fw.shift(graph, state)))
+        dev = max(dev, float(np.abs(twice - fw.arc_amplitudes(state)).max()))
     checks.append(
         CheckResult(
             name="shift_involution",

@@ -3,42 +3,47 @@ import math
 import numpy as np
 import pytest
 
+import arc_table
 import starclique as sc
-from starclique.graph import ArcClass, LeafPhase
+from starclique.full_walk import arc_amplitudes, hub_series
+from starclique.graph import LeafPhase
 from starclique.verify import random_walk_states
+
+
+def _leaf_bound_unit_mass(n, m):
+    # unit mass on the hub-to-leaf arc of leaf 0, nothing elsewhere
+    star_out = np.zeros(m, dtype=np.complex128)
+    star_out[0] = 1.0
+    return sc.WalkState(
+        np.zeros((n, n), dtype=np.complex128), np.zeros(m, dtype=np.complex128), star_out
+    )
 
 
 def test_initial_state_values():
     g = sc.build_graph(100, 10)
     state = sc.initial_state(g)
-    clique = g.arc_class <= ArcClass.CLIQUE_OUT
-    assert np.all(state.amplitudes[clique] == 1.0 / math.sqrt(9900))
-    assert np.all(state.amplitudes[~clique] == 0)
+    off_diagonal = ~np.eye(100, dtype=bool)
+    assert np.all(state.clique[off_diagonal] == 1.0 / math.sqrt(9900))
+    assert np.all(np.diag(state.clique) == 0)
+    assert np.all(state.star_in == 0) and np.all(state.star_out == 0)
     # 1/sqrt(9900) = 0.0100504 to the printed precision
-    assert abs(state.amplitudes[0].real - 0.0100504) < 1e-7
-    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-14)
+    assert abs(state.clique[0, 1].real - 0.0100504) < 1e-7
+    assert np.linalg.norm(arc_amplitudes(state)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_step_reverses_at_leaf():
     # unit mass on the arc into a leaf comes back negated on the arc out of it
     g = sc.build_graph(5, 2)
-    into_leaf = np.flatnonzero(g.arc_class == ArcClass.STAR_OUT)[0]
-    out_of_leaf = g.inverse[into_leaf]
-    psi = np.zeros(g.arc_count, dtype=np.complex128)
-    psi[into_leaf] = 1.0
-    out = sc.step(g, sc.WalkState(amplitudes=psi), LeafPhase.REVERSAL)
-    expected = np.zeros_like(psi)
-    expected[out_of_leaf] = -1.0
-    assert np.allclose(out.amplitudes, expected, atol=1e-15)
+    out = sc.step(g, _leaf_bound_unit_mass(5, 2), LeafPhase.REVERSAL)
+    expected = np.zeros(g.arc_count, dtype=np.complex128)
+    expected[5 * 4] = -1.0  # leaf 0 -> hub, the first star arc
+    assert np.allclose(arc_amplitudes(out), expected, atol=1e-15)
 
 
 def test_step_plain_keeps_leaf_sign():
     g = sc.build_graph(5, 2)
-    into_leaf = np.flatnonzero(g.arc_class == ArcClass.STAR_OUT)[0]
-    psi = np.zeros(g.arc_count, dtype=np.complex128)
-    psi[into_leaf] = 1.0
-    out = sc.step(g, sc.WalkState(amplitudes=psi), LeafPhase.PLAIN)
-    assert out.amplitudes[g.inverse[into_leaf]] == pytest.approx(1.0, abs=1e-15)
+    out = sc.step(g, _leaf_bound_unit_mass(5, 2), LeafPhase.PLAIN)
+    assert out.star_in[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_step_from_uniform_smallest():
@@ -46,8 +51,7 @@ def test_step_from_uniform_smallest():
     # (2/deg(hub)) * (two incoming clique arcs at 1/sqrt(6)) = 4/(3 sqrt(6))
     g = sc.build_graph(3, 1)
     out = sc.step(g, sc.initial_state(g))
-    hub_to_leaf = np.flatnonzero(g.arc_class == ArcClass.STAR_OUT)[0]
-    assert out.amplitudes[hub_to_leaf].real == pytest.approx(
+    assert out.star_out[0].real == pytest.approx(
         4.0 / (3.0 * math.sqrt(6.0)), abs=1e-15
     )
     assert out.time == 1
@@ -57,21 +61,49 @@ def test_step_from_uniform_smallest():
 @pytest.mark.parametrize("phase", [LeafPhase.REVERSAL, LeafPhase.PLAIN])
 def test_step_preserves_norm(n, m, phase):
     g = sc.build_graph(n, m)
-    for row in random_walk_states(g, 5, seed=7):
-        out = sc.step(g, sc.WalkState(amplitudes=row), phase)
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+    for state in random_walk_states(g, 5, seed=7):
+        out = sc.step(g, state, phase)
+        assert abs(np.linalg.norm(arc_amplitudes(out)) - 1.0) < 1e-12
 
 
 def test_shift_involution_is_exact():
     g = sc.build_graph(11, 4)
-    psi = random_walk_states(g, 1, seed=3)[0]
-    assert np.array_equal(sc.shift(g, sc.shift(g, psi)), psi)
+    state = random_walk_states(g, 1, seed=3)[0]
+    twice = sc.shift(g, sc.shift(g, state))
+    assert np.array_equal(arc_amplitudes(twice), arc_amplitudes(state))
 
 
 def test_step_rejects_dimension_mismatch():
     g = sc.build_graph(5, 2)
     with pytest.raises(ValueError):
-        sc.step(g, sc.WalkState(amplitudes=np.zeros(7, dtype=np.complex128)))
+        sc.step(g, _leaf_bound_unit_mass(4, 2))
+    with pytest.raises(ValueError):
+        sc.step(g, _leaf_bound_unit_mass(5, 3))
+
+
+@pytest.mark.parametrize("n,m", [(3, 1), (7, 3), (40, 40), (60, 5)])
+@pytest.mark.parametrize("phase", [LeafPhase.REVERSAL, LeafPhase.PLAIN])
+def test_step_matches_arc_table_reference(n, m, phase):
+    g = sc.build_graph(n, m)
+    table = arc_table.build(n, m)
+    for state in random_walk_states(g, 3, seed=17):
+        psi = arc_amplitudes(state)
+        for _ in range(50):
+            state = sc.step(g, state, phase)
+            psi = arc_table.step(table, psi, phase)
+        assert np.abs(arc_amplitudes(state) - psi).max() <= 1e-13
+
+
+@pytest.mark.parametrize("phase", [LeafPhase.REVERSAL, LeafPhase.PLAIN])
+def test_walks_leave_the_input_state_untouched(phase):
+    g = sc.build_graph(9, 4)
+    state = random_walk_states(g, 1, seed=21)[0]
+    before = [a.copy() for a in (state.clique, state.star_in, state.star_out)]
+    hub_series(g, state, phase, [0, 3, 10])
+    sc.evolve(g, state, 10, phase)
+    sc.step(g, state, phase)
+    after = (state.clique, state.star_in, state.star_out)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
 
 
 @pytest.mark.parametrize("n,m", [(3, 1), (10, 3), (57, 9)])
@@ -99,12 +131,12 @@ def test_real_dynamics_from_uniform_state():
     state = sc.initial_state(g)
     for _ in range(100):
         state = sc.step(g, state)
-    assert np.abs(state.amplitudes.imag).max() < 1e-12
+    assert np.abs(arc_amplitudes(state).imag).max() < 1e-12
 
 
 def test_vertex_probability_partitions_unity():
     g = sc.build_graph(9, 4)
-    state = sc.WalkState(amplitudes=random_walk_states(g, 1, seed=11)[0])
+    state = random_walk_states(g, 1, seed=11)[0]
     total = sum(sc.vertex_probability(g, state, v) for v in range(g.n_vertices))
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -133,8 +165,8 @@ def test_collapse_of_initial_state(n, m):
 
 def test_collapse_is_a_contraction():
     g = sc.build_graph(12, 5)
-    for row in random_walk_states(g, 10, seed=5):
-        collapsed = sc.collapse(g, sc.WalkState(amplitudes=row))
+    for state in random_walk_states(g, 10, seed=5):
+        collapsed = sc.collapse(g, state)
         assert np.linalg.norm(collapsed.amplitudes) <= 1.0 + 1e-12
 
 
@@ -153,24 +185,23 @@ def test_lift_collapse_fixes_initial_state():
     g = sc.build_graph(6, 2)
     state = sc.initial_state(g)
     projected = sc.lift(g, sc.collapse(g, state))
-    assert np.abs(projected.amplitudes - state.amplitudes).max() < 1e-15
+    assert np.abs(arc_amplitudes(projected) - arc_amplitudes(state)).max() < 1e-15
 
 
 def test_lift_collapse_is_idempotent():
     g = sc.build_graph(7, 3)
-    psi = random_walk_states(g, 1, seed=9)[0]
-    once = sc.lift(g, sc.collapse(g, sc.WalkState(amplitudes=psi)))
+    state = random_walk_states(g, 1, seed=9)[0]
+    once = sc.lift(g, sc.collapse(g, state))
     twice = sc.lift(g, sc.collapse(g, once))
-    assert np.abs(twice.amplitudes - once.amplitudes).max() < 1e-14
+    assert np.abs(arc_amplitudes(twice) - arc_amplitudes(once)).max() < 1e-14
 
 
 @pytest.mark.parametrize("n,m", [(5, 1), (20, 4), (50, 20)])
 def test_step_commutes_with_class_projection(n, m):
     g = sc.build_graph(n, m)
-    for row in random_walk_states(g, 10, seed=13):
-        state = sc.WalkState(amplitudes=row)
-        left = sc.step(g, sc.lift(g, sc.collapse(g, state))).amplitudes
-        right = sc.lift(g, sc.collapse(g, sc.step(g, state))).amplitudes
+    for state in random_walk_states(g, 10, seed=13):
+        left = arc_amplitudes(sc.step(g, sc.lift(g, sc.collapse(g, state))))
+        right = arc_amplitudes(sc.lift(g, sc.collapse(g, sc.step(g, state))))
         assert np.linalg.norm(left - right) < 1e-12
 
 

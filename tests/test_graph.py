@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import arc_table
 from starclique import graph as gr
 
 
@@ -30,13 +31,15 @@ def test_build_graph_smallest():
     g = gr.build_graph(3, 1)
     assert g.n_vertices == 4
     assert g.arc_count == 8
-    assert g.degree[g.hub] == 3
+    assert arc_table.build(3, 1).degree[g.hub] == 3
 
 
 def test_build_graph_counts():
     g = gr.build_graph(100, 10)
     assert g.n_vertices == 110
     assert g.arc_count == 9920
+    # sizes only, no per-arc array: a trillion arcs cost nothing to describe
+    assert gr.build_graph(10**6, 1).arc_count == 10**12 - 10**6 + 2
 
 
 def test_build_graph_rejects_bad_sizes():
@@ -56,8 +59,12 @@ def test_build_graph_rejects_addressable_overflow():
     [(3, 1), (3, 200), (4, 2), (10, 7), (50, 3), (100, 10), (200, 1), (200, 200)],
 )
 def test_graph_invariants(n, m):
-    g = gr.build_graph(n, m)
-    arcs = np.arange(g.arc_count)
+    # on the arc table the structured oracle is tested against
+    g = arc_table.build(n, m)
+    hub = gr.HUB
+    arc_count = gr.build_graph(n, m).arc_count
+    assert g.origin.size == arc_count
+    arcs = np.arange(arc_count)
 
     # inverse is an involution without fixed points and swaps the endpoints
     assert np.array_equal(g.inverse[g.inverse], arcs)
@@ -66,17 +73,17 @@ def test_graph_invariants(n, m):
     assert np.array_equal(g.terminus[g.inverse], g.origin)
 
     # degrees
-    assert g.degree[g.hub] == n - 1 + m
+    assert g.degree[hub] == n - 1 + m
     assert np.all(g.degree[1:n] == n - 1)
     assert np.all(g.degree[n:] == 1)
-    assert int(g.degree.sum()) == g.arc_count
+    assert int(g.degree.sum()) == arc_count
 
     # class labels recomputed from the endpoints agree with the stored ones
-    recomputed = np.full(g.arc_count, gr.ArcClass.CLIQUE_INTERIOR, dtype=np.int64)
+    recomputed = np.full(arc_count, gr.ArcClass.CLIQUE_INTERIOR, dtype=np.int64)
     leaf_origin = g.origin >= n
     leaf_terminus = g.terminus >= n
-    recomputed[(g.terminus == g.hub) & ~leaf_origin] = gr.ArcClass.CLIQUE_IN
-    recomputed[(g.origin == g.hub) & ~leaf_terminus] = gr.ArcClass.CLIQUE_OUT
+    recomputed[(g.terminus == hub) & ~leaf_origin] = gr.ArcClass.CLIQUE_IN
+    recomputed[(g.origin == hub) & ~leaf_terminus] = gr.ArcClass.CLIQUE_OUT
     recomputed[leaf_origin] = gr.ArcClass.STAR_IN
     recomputed[leaf_terminus] = gr.ArcClass.STAR_OUT
     assert np.array_equal(recomputed, g.arc_class)
@@ -86,8 +93,8 @@ def test_graph_invariants(n, m):
     star_out = g.arc_class == gr.ArcClass.STAR_OUT
     assert np.array_equal(np.sort(g.origin[star_in]), np.arange(n, n + m))
     assert np.array_equal(np.sort(g.terminus[star_out]), np.arange(n, n + m))
-    assert np.all(g.terminus[star_in] == g.hub)
-    assert np.all(g.origin[star_out] == g.hub)
+    assert np.all(g.terminus[star_in] == hub)
+    assert np.all(g.origin[star_out] == hub)
 
 
 def test_class_sizes_examples():
@@ -98,14 +105,14 @@ def test_class_sizes_examples():
 @pytest.mark.parametrize("n,m", [(3, 1), (7, 5), (41, 13), (200, 77)])
 def test_class_sizes_partition(n, m):
     sizes = gr.class_sizes(n, m)
-    assert sum(sizes) == n * (n - 1) + 2 * m
-    g = gr.build_graph(n, m)
+    assert sum(sizes) == n * (n - 1) + 2 * m == gr.build_graph(n, m).arc_count
+    g = arc_table.build(n, m)
     assert np.array_equal(
         np.bincount(g.arc_class, minlength=5), np.asarray(sizes)
     )
 
 
 def test_inverse_class_map():
-    g = gr.build_graph(9, 4)
+    g = arc_table.build(9, 4)
     expected = np.asarray([gr.INVERSE_CLASS[c] for c in g.arc_class])
     assert np.array_equal(g.arc_class[g.inverse], expected)
