@@ -141,7 +141,7 @@ def coefficient_estimates(n_clique: int, alpha: float, t: int) -> CoefficientEst
     ang = discriminant_angles(n_clique, m)
     oscillation = math.sin(t * ang.theta_1)
     c1, k_scale, s_scale = _leading_scales(float(n_clique), alpha)
-    exact = _oscillator_coefficients(n_clique, m, t, TABULATED_SECOND_OFFSET)
+    exact = _oscillator_coefficients(n_clique, m, ang, t, TABULATED_SECOND_OFFSET)
     hub_weight = 1.0 / (n_clique + m - 1)
     k2_sup = abs(ang.cos_theta_2) + (n_clique - 1) * hub_weight
     s2_sup = math.sqrt(m * (n_clique - 1)) * hub_weight

@@ -25,8 +25,8 @@ from . import __version__
 from . import asymptotics as asym
 from . import collapsed as cw
 from . import full_walk as fw
+from . import spectral
 from .graph import LeafPhase, build_graph, leaves_from_alpha
-from .spectral import EigenbasisEvaluator, audit_closed_forms
 from .trace import ProbabilityTrace
 from .verify import run_checks
 
@@ -154,7 +154,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         start = cw.collapsed_initial_state(sizes.n, sizes.m)
         series = partial(cw.hub_series, ops, start)
     elif args.mode == "closed":
-        series = EigenbasisEvaluator(sizes.n, sizes.m).hub_series
+        series = spectral.EigenbasisEvaluator(sizes.n, sizes.m).hub_series
     else:
         series = partial(asym.hub_series, sizes.n, sizes.alpha)
     metadata = _trace_metadata(sizes, args.mode, phase)
@@ -169,7 +169,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     fmt = args.format or "json"
     if fmt != "json":
         raise ConfigError("spectrum reports are JSON only")
-    audit = audit_closed_forms(sizes.n, sizes.m)
+    audit = spectral.audit_closed_forms(sizes.n, sizes.m)
     worst = max(audit.report.residuals)
     if not worst < 1e-10:
         print(f"spectral residual {worst:.3e} exceeds 1e-10", file=sys.stderr)
@@ -193,9 +193,7 @@ def _cmd_optimal_time(args: argparse.Namespace) -> int:
     if alpha is None:
         alpha = math.log(sizes.m) / math.log(sizes.n) if sizes.m > 1 else 0.0
     t_branch = asym.optimal_time_branch(sizes.n, alpha)
-    ops = cw.build_reduced_operators(sizes.n, sizes.m, LeafPhase.REVERSAL)
-    start = cw.collapsed_initial_state(sizes.n, sizes.m)
-    p_at_t = float(cw.hub_series(ops, start, [t_exact])[0][0])
+    p_at_t = float(spectral.hub_series(sizes.n, sizes.m, [t_exact])[0][0])
     record = {
         "n": sizes.n,
         "m": sizes.m,

@@ -4,11 +4,15 @@ The 3x3 discriminant matrix has a 2x2 nonzero block whose eigenvalues
 cos(theta_1) > cos(theta_2) generate the whole reduced spectrum
 {exp(+-i theta_1), exp(+-i theta_2), -1}.  This module evaluates those
 angles in closed form, builds both the closed-form eigenvectors and a
-numerically diagonalized eigensystem, and provides two evaluators for the
-hub-bound amplitudes at time t:
+numerically diagonalized eigensystem, and provides three evaluators for
+the hub-bound amplitudes at time t:
 
-* the *eigenbasis evaluator* (source of truth): project the initial state
-  onto the five numeric eigenpairs, advance the phases, recombine;
+* the *two-plane closed form* ``hub_series``: Szegedy's spectral lemma
+  turns the walk into two plane rotations plus the flip eigenvector, with
+  no eigensolver and no iteration; exact to about 1e-16 up to N = 1e18,
+  it answers ``closed_form_probability`` and ``optimal-time``;
+* the *eigenbasis evaluator* (numeric cross-check): project the initial
+  state onto the five numeric eigenpairs, advance the phases, recombine;
 * the *closed-form oscillator expansion*: the explicit c/k/s/r coefficient
   formulas.  Two of its phase offsets deviate from the exact eigenbasis
   expansion by O(sin theta), so it is exact only up to o(1); the audit
@@ -56,7 +60,9 @@ def discriminant_angles(n_clique: int, n_leaves: int) -> DiscriminantAngles:
     cos(theta_x) = ((N-2) +- sqrt((N-2)^2 + 4(N-1)^2/(N+m-1))) / (2(N-1)).
     theta_1 is computed through the cancellation-free form of
     1 - cos(theta_1), because the optimal running time floor(pi/(2 theta_1))
-    is integer-sensitive when theta_1 is tiny.
+    is integer-sensitive when theta_1 is tiny.  cos(theta_2) comes from the
+    root product cos(theta_1) cos(theta_2) = -1/(N+m-1); the difference
+    form above cancels and loses every digit near N = 1e17.
     """
     class_sizes(n_clique, n_leaves)
     n, m = n_clique, n_leaves
@@ -67,7 +73,7 @@ def discriminant_angles(n_clique: int, n_leaves: int) -> DiscriminantAngles:
         raise ArithmeticError(f"negative discriminant {disc} for N={n}, m={m}")
     root = math.sqrt(disc)
     cos_1 = 0.5 * (trace + root)
-    cos_2 = 0.5 * (trace - root)
+    cos_2 = -1.0 / ((n + m - 1) * cos_1)
     # 1 - cos_1 without cancellation: 1 - trace - coupling_sq equals
     # m / ((N-1)(N+m-1)) identically.
     one_minus_cos_1 = (2.0 * m / ((n - 1) * (n + m - 1))) / ((2.0 - trace) + root)
@@ -405,15 +411,16 @@ class AmplitudePair:
 
 
 def _oscillator_coefficients(
-    n: int, m: int, t: int, second_offset: float
+    n: int, m: int, ang: DiscriminantAngles, t: int, second_offset: float
 ) -> OscillatorCoefficients:
-    ang = discriminant_angles(n, m)
+    """The expansion coefficients at time t, given the angles of (N, m)."""
     hub_weight = 1.0 / (n + m - 1)
     cs, ks, ss = [], [], []
-    for x, (cos_x, theta_x) in enumerate(
-        ((ang.cos_theta_1, ang.theta_1), (ang.cos_theta_2, ang.theta_2)), start=1
+    for cos_x, theta_x in (
+        (ang.cos_theta_1, ang.theta_1),
+        (ang.cos_theta_2, ang.theta_2),
     ):
-        alpha_sq = vector_normalization_sq(n, m, x)
+        alpha_sq = cos_x * cos_x + hub_weight  # vector_normalization_sq
         sin_x = math.sin(theta_x)
         cs.append(
             2.0
@@ -454,7 +461,14 @@ def closed_form_amplitudes(
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    coeff = _oscillator_coefficients(n_clique, n_leaves, t, second_offset)
+    ang = discriminant_angles(n_clique, n_leaves)
+    return _closed_form_pair(n_clique, n_leaves, ang, t, second_offset)
+
+
+def _closed_form_pair(
+    n: int, m: int, ang: DiscriminantAngles, t: int, second_offset: float
+) -> AmplitudePair:
+    coeff = _oscillator_coefficients(n, m, ang, t, second_offset)
     parity = -1.0 if t % 2 else 1.0
     clique_in = coeff.c1 * coeff.k1 + coeff.c2 * coeff.k2 + parity * coeff.r_clique
     star_in = -(coeff.c1 * coeff.s1 + coeff.c2 * coeff.s2) - parity * coeff.r_star
@@ -544,7 +558,11 @@ class EigenbasisEvaluator:
             psi_clique_in=complex(psi[ArcClass.CLIQUE_IN]),
             psi_star_in=complex(psi[ArcClass.STAR_IN]),
             coefficients=_oscillator_coefficients(
-                self.n_clique, self.n_leaves, t, TABULATED_SECOND_OFFSET
+                self.n_clique,
+                self.n_leaves,
+                discriminant_angles(self.n_clique, self.n_leaves),
+                t,
+                TABULATED_SECOND_OFFSET,
             ),
         )
 
@@ -559,16 +577,98 @@ class EigenbasisEvaluator:
         return complex(term[ArcClass.CLIQUE_IN]), complex(term[ArcClass.STAR_IN])
 
 
+def hub_series(n_clique: int, n_leaves: int, times: Sequence[int]) -> HubSeries:
+    """Hub series of the phase-reversal walk in closed form, O(1) per time.
+
+    The reduced step is S (2 A A^T - I), with A the 5x2 matrix of the
+    clique and hub boundary rows and D = A^T S A the discriminant block
+    (Szegedy's spectral lemma).  For a unit eigenvector v of D with
+    eigenvalue cos(theta) the step maps the plane {Av, SAv} into itself,
+    turning its orthonormal pair e+ = (Av + SAv) / (2 cos(theta/2)),
+    e- = (Av - SAv) / (2 sin(theta/2)) by -theta.  The start state is
+    symmetric under S, so psi0 = sum_v w_v (Av + SAv) + r0 with
+    w = (I + D)^-1 A^T psi0 and r0 its part on the flip eigenvector, and
+
+        psi_t = sum_v 2 cos(theta/2) w_v (cos(t theta) e+ - sin(t theta) e-)
+                + (-1)^t r0.
+
+    The coefficients and the components of e+ and e- are O(1), and every
+    sum and difference in them is written so that it does not cancel, so
+    the result stays exact in float64 up to N = 1e18, where theta_1 is
+    about 1e-18; there is no iteration and no eigensolver.  Times are
+    step counts from 0 to 2^63 - 1 in any order; the phases t theta are
+    rounded once, so beyond t = 2^53 they carry a relative error of about
+    1e-16.
+    """
+    try:
+        steps = np.asarray(times, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("step counts must be below 2**63") from None
+    if (steps < 0).any():
+        raise ValueError("step counts must be nonnegative")
+    n, m = n_clique, n_leaves
+    ang = discriminant_angles(n, m)
+    hub_weight = _hub_weight_sq(n, m)  # c^2, c = 1/sqrt(N+m-1)
+    clique_share = (n - 1) / (n + m - 1)  # c^2 (N-1)
+    star_share = m / (n + m - 1)  # 1 - c^2 (N-1)
+    overlap = math.sqrt((n - 1) / n)  # A^T psi0 = overlap * (1, c)
+    sin_half_1 = math.sin(0.5 * ang.theta_1)
+    one_minus_cos_1 = 2.0 * sin_half_1 * sin_half_1
+    cos_1 = ang.cos_theta_1
+    # Per plane: cos, theta, sin(theta/2), cos + c^2, c^2 (N-1) + cos and
+    # c^2 (N-1) - cos, the sums and differences written so that none
+    # cancels, through cos_2 = -c^2/cos_1 and cos_1 - (N-2)/(N-1) = c^2/cos_1.
+    planes = (
+        (cos_1, ang.theta_1, sin_half_1, cos_1 + hub_weight,
+         clique_share + cos_1, one_minus_cos_1 - star_share),
+        (ang.cos_theta_2, ang.theta_2, math.sin(0.5 * ang.theta_2),
+         -hub_weight * one_minus_cos_1 / cos_1,
+         hub_weight * ((n - 3) + clique_share / cos_1) / cos_1,
+         clique_share - ang.cos_theta_2),
+    )
+    phases = steps.astype(np.float64)
+    clique_in = np.zeros(len(steps))
+    star_in = np.zeros(len(steps))
+    for cos_x, theta_x, sin_half, cos_plus_c2, clique_plus, clique_minus in planes:
+        norm = math.sqrt(cos_x * cos_x + hub_weight)  # |(cos, c)|
+        weight = overlap * cos_plus_c2 / (norm * (1.0 + cos_x))
+        # plus_*: Av + SAv = 2 cos(theta/2) e+, minus_*: 2 cos(theta/2) e-,
+        # both read at CLIQUE_IN and STAR_IN
+        plus_clique = clique_plus / (norm * math.sqrt(n - 1))
+        plus_star = hub_weight * math.sqrt(m) / norm
+        turn = math.cos(0.5 * theta_x) / sin_half
+        minus_clique = turn * clique_minus / (norm * math.sqrt(n - 1))
+        minus_star = turn * plus_star
+        cos_t = np.cos(phases * theta_x)
+        sin_t = np.sin(phases * theta_x)
+        clique_in += weight * (cos_t * plus_clique - sin_t * minus_clique)
+        star_in += weight * (cos_t * plus_star - sin_t * minus_star)
+    # r0 = <f, psi0> f / |f|^2 for the flip pattern f, <f, psi0> = sqrt((N-2)/N)
+    flip = flip_eigenvector_pattern(n, m) * (
+        math.sqrt((n - 2) / n) / flip_normalization_sq(n, m)
+    )
+    parity = np.where(steps % 2 == 1, -1.0, 1.0)
+    clique_in += parity * flip[ArcClass.CLIQUE_IN]
+    star_in += parity * flip[ArcClass.STAR_IN]
+    clique_in = clique_in.astype(np.complex128)
+    star_in = star_in.astype(np.complex128)
+    return hub_probability(clique_in, star_in), clique_in, star_in
+
+
 def reference_amplitudes(n_clique: int, n_leaves: int, t: int) -> AmplitudePair:
     """One-shot eigenbasis evaluation; build an EigenbasisEvaluator for loops."""
     return EigenbasisEvaluator(n_clique, n_leaves).amplitudes(t)
 
 
 def closed_form_probability(n_clique: int, n_leaves: int, t: int) -> float:
-    """Hub probability at time t from the eigenbasis evaluator."""
+    """Hub probability at time t, the one row of ``hub_series`` at t.
+
+    O(1) at any clique size: no eigensolver and no iteration, exact to
+    about 1e-16 up to N = 1e18 (checked against a 50-digit reference).
+    """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    return EigenbasisEvaluator(n_clique, n_leaves).probability(t)
+    return float(hub_series(n_clique, n_leaves, [t])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +723,7 @@ def audit_closed_forms(
     evaluator = report.evaluator
     flags = list(report.formula_flags)
 
+    ang = discriminant_angles(n, m)
     amp_dev = 0.0
     corrected_dev = 0.0
     parity_dev = 0.0
@@ -633,7 +734,7 @@ def audit_closed_forms(
             (TABULATED_SECOND_OFFSET, "tabulated"),
             (DERIVED_SECOND_OFFSET, "derived"),
         ):
-            pair = closed_form_amplitudes(n, m, int(t), second_offset=offset)
+            pair = _closed_form_pair(n, m, ang, int(t), offset)
             dev = max(
                 abs(pair.psi_clique_in - exact_pair[0]),
                 abs(pair.psi_star_in - exact_pair[1]),
@@ -642,7 +743,7 @@ def audit_closed_forms(
                 amp_dev = max(amp_dev, dev)
             else:
                 corrected_dev = max(corrected_dev, dev)
-        coeff = _oscillator_coefficients(n, m, int(t), TABULATED_SECOND_OFFSET)
+        coeff = _oscillator_coefficients(n, m, ang, int(t), TABULATED_SECOND_OFFSET)
         parity = -1.0 if t % 2 else 1.0
         flip_clique, flip_star = evaluator.flip_contribution(int(t))
         parity_dev = max(

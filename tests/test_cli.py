@@ -168,6 +168,7 @@ def test_full_mode_arc_budget(tmp_path):
         ["phase-diagram", "--alphas", "0.5"],
         ["optimal-time", "--n", "1000000", "--alpha", "100"],
         ["optimal-time", "--n", "100", "--alpha", "nan"],
+        ["optimal-time", "--n", str(10**19), "--alpha", "0"],  # t_opt beyond int64
     ],
 )
 def test_config_errors_leave_no_file(tmp_path, args):
@@ -217,17 +218,25 @@ def test_optimal_time_large(capsys):
     assert int(record["t_opt_exact"]) == 11107
     assert 0.45 <= float(record["p_at_t_opt"]) <= 0.55
 
+    # O(1) at any clique size: 1.1e18 steps, answered in closed form
+    assert main(["optimal-time", "--n", str(10**18), "--alpha", "0"]) == 0
+    record = _parse_record(capsys.readouterr().out)
+    assert int(record["t_opt_exact"]) > 10**18
+    assert abs(float(record["p_at_t_opt"]) - 0.5) < 1e-12
+
 
 @pytest.mark.parametrize("alpha", ["0", "1"])
-def test_optimal_time_probability_is_the_collapsed_trace_row(capsys, alpha):
+def test_optimal_time_probability_is_the_two_plane_row(capsys, alpha):
     assert main(["optimal-time", "--n", "200", "--alpha", alpha]) == 0
     record = _parse_record(capsys.readouterr().out)
     n, m = 200, sc.leaves_from_alpha(200, float(alpha))
     t_opt = int(record["t_opt_exact"])
+    p_at_t = float(record["p_at_t_opt"])
+    assert p_at_t == sc.spectral.hub_series(n, m, [t_opt])[0][0]
     trace = sc.evolve_collapsed(
         sc.build_reduced_operators(n, m), sc.collapsed_initial_state(n, m), t_opt
     )
-    assert float(record["p_at_t_opt"]) == trace.p_hub[t_opt]
+    assert abs(p_at_t - trace.p_hub[t_opt]) < 1e-12
 
 
 def test_optimal_time_examples(capsys):

@@ -243,3 +243,83 @@ def test_audit_reports_expected_flags():
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
         sc.closed_form_amplitudes(10, 3, -1)
+
+
+# ---------------------------------------------------------------------------
+# two-plane closed form
+
+
+def _reference_probability(mp, n, m, t):
+    """p(t) from M^t psi0 at 50 digits, M built from exact integers and
+    raised by repeated squaring: independent of every closed form."""
+    with mp.workdps(50):
+        big_n, big_m = mp.mpf(n), mp.mpf(m)
+        boundary = mp.zeros(3, 5)
+        boundary[0, 0] = mp.sqrt((big_n - 2) / (big_n - 1))
+        boundary[0, 2] = 1 / mp.sqrt(big_n - 1)
+        boundary[2, 1] = mp.sqrt((big_n - 1) / (big_n + big_m - 1))
+        boundary[2, 3] = mp.sqrt(big_m / (big_n + big_m - 1))
+        shift = mp.zeros(5, 5)
+        for i, j in ((0, 0), (1, 2), (2, 1), (3, 4), (4, 3)):
+            shift[i, j] = 1
+        power = shift * (2 * boundary.T * boundary - mp.eye(5))
+        root_n = mp.sqrt(big_n)
+        psi = mp.matrix([mp.sqrt(big_n - 2) / root_n, 1 / root_n, 1 / root_n, 0, 0])
+        while t:
+            if t & 1:
+                psi = power * psi
+            power = power * power
+            t >>= 1
+        return abs(psi[ArcClass.CLIQUE_IN]) ** 2 + abs(psi[ArcClass.STAR_IN]) ** 2
+
+
+@pytest.mark.parametrize("exponent", range(3, 19))
+def test_two_plane_optimal_probability_matches_50_digit_reference(exponent):
+    mp = pytest.importorskip("mpmath")
+    n = 10**exponent
+    for m in sorted({1, math.isqrt(n), n}):
+        t_opt = sc.optimal_time_exact(n, m)
+        p = sp.hub_series(n, m, [t_opt])[0][0]
+        assert abs(p - float(_reference_probability(mp, n, m, t_opt))) < 1e-10
+        assert sc.closed_form_probability(n, m, t_opt) == p
+
+
+@pytest.mark.parametrize(
+    "n,m", [(3, 1), (3, 10**12), (4, 1), (10, 3), (100, 10), (1000, 1000), (57, 3000)]
+)
+def test_two_plane_series_matches_iteration(n, m):
+    times = np.arange(401)
+    iterated = sc.collapsed.hub_series(
+        sc.build_reduced_operators(n, m), sc.collapsed_initial_state(n, m), times
+    )
+    closed = sp.hub_series(n, m, times)
+    for got, want in zip(closed, iterated):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.abs(got - want).max() < 1e-12
+
+
+def test_two_plane_series_takes_times_in_any_order():
+    times = [400, 0, 7, 7, 3]
+    p, clique_in, star_in = sp.hub_series(100, 10, times)
+    full = sp.hub_series(100, 10, range(401))
+    assert np.array_equal(p, full[0][times])
+    assert np.array_equal(star_in, full[2][times])
+    assert p[1] == pytest.approx(0.01, abs=1e-15)
+
+
+def test_two_plane_series_rejects_negative_times():
+    with pytest.raises(ValueError):
+        sp.hub_series(100, 10, [3, -1])
+    with pytest.raises(ValueError):
+        sp.hub_series(100, 10, [2**63])
+
+
+def test_cos_theta_2_matches_50_digit_reference():
+    mp = pytest.importorskip("mpmath")
+    for n in (10**12, 10**15, 10**17):
+        with mp.workdps(50):
+            trace = mp.mpf(n - 2) / (n - 1)
+            want = (trace - mp.sqrt(trace * trace + mp.mpf(4) / n)) / 2
+        got = sc.discriminant_angles(n, 1).cos_theta_2
+        assert abs((got - float(want)) / float(want)) < 1e-15
+
