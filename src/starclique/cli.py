@@ -71,10 +71,14 @@ def _resolve_sizes(args: argparse.Namespace) -> Sizes:
             m = leaves_from_alpha(args.n, args.alpha)
         except OverflowError:
             raise ConfigError(f"leaf count {args.n}**{args.alpha} overflows") from None
-        return Sizes(n=args.n, m=m, alpha=args.alpha)
-    if args.m < 1:
+    elif args.m < 1:
         raise ConfigError(f"--m must be at least 1, got {args.m}")
-    return Sizes(n=args.n, m=args.m, alpha=None)
+    else:
+        m = args.m
+    # the discriminant angles divide by (N-1)(N+m-1) as a float
+    if (args.n - 1) * (args.n + m - 1) > sys.float_info.max:
+        raise ConfigError("sizes beyond the float range: (N-1)(N+m-1) exceeds 1.8e308")
+    return Sizes(n=args.n, m=m, alpha=args.alpha)
 
 
 def _check_arc_budget(sizes: Sizes, budget: int) -> None:

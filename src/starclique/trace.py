@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -25,9 +26,11 @@ COLUMNS = (
 
 _P_SLACK = 1e-9  # tolerated floating-point overshoot outside [0, 1]
 
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_BLOCK = 8192  # CSV rows formatted or parsed per call
+# "%.17g" spells a float as format(x, ".17g") does, -0, nan and inf included
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+# a column's items in json.dump(..., indent=1) layout, by the C encoder
+_JSON_ITEMS = json.JSONEncoder(separators=(",\n   ", ": "))
 
 
 #: What every evaluator's ``hub_series(times)`` returns, one row per time:
@@ -67,7 +70,8 @@ class ProbabilityTrace:
         for name in ("p_hub", "psi_clique_in", "psi_star_in"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"column {name} length differs from times")
-        if n and (self.p_hub.min() < -_P_SLACK or self.p_hub.max() > 1 + _P_SLACK):
+        # min/max carry a NaN through, and every comparison with NaN is False
+        if n and not (self.p_hub.min() >= -_P_SLACK and self.p_hub.max() <= 1 + _P_SLACK):
             raise ValueError("p_vstar outside [0, 1]")
 
     def __len__(self) -> int:
@@ -83,69 +87,76 @@ class ProbabilityTrace:
         steps = np.arange(t_max + 1, dtype=np.int64)
         return cls(start + steps, *series(steps), metadata=metadata)
 
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """The six serialized columns, in ``COLUMNS`` order."""
+        clique, star = self.psi_clique_in, self.psi_star_in
+        return (np.asarray(self.times, np.int64), np.asarray(self.p_hub, np.float64),
+                clique.real, clique.imag, star.real, star.imag)
+
     # ---- CSV ----
 
     def to_csv(self, stream: io.TextIOBase) -> None:
         for key, value in self.metadata.items():
             stream.write(f"# {key}={value}\n")
         stream.write(",".join(COLUMNS) + "\n")
-        for i in range(len(self)):
-            row = (
-                str(int(self.times[i])),
-                _fmt(self.p_hub[i]),
-                _fmt(self.psi_clique_in[i].real),
-                _fmt(self.psi_clique_in[i].imag),
-                _fmt(self.psi_star_in[i].real),
-                _fmt(self.psi_star_in[i].imag),
-            )
-            stream.write(",".join(row) + "\n")
+        cols = self._columns()
+        for start in range(0, len(self), _BLOCK):
+            block = [col[start:start + _BLOCK].tolist() for col in cols]
+            stream.write("".join(map(_CSV_ROW.__mod__, zip(*block))))
 
     @classmethod
     def from_csv(cls, stream: io.TextIOBase) -> "ProbabilityTrace":
         metadata: dict[str, str] = {}
         header: list[str] | None = None
-        rows: list[list[str]] = []
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                metadata[key.strip()] = value
-                continue
-            if header is None:
-                header = line.split(",")
-                if tuple(header) != COLUMNS:
-                    raise ValueError(f"unexpected columns {header}")
-                continue
-            rows.append(line.split(","))
+        times = [np.zeros(0, np.int64)]  # one array per block of lines
+        values = [np.zeros((0, 5))]  # the five float columns, row-major
+        first = 1  # line number of the block's first line
+        while lines := list(islice(stream, _BLOCK)):
+            rows: list[str] = []
+            for number, line in enumerate(lines, first):
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    key, _, value = line[1:].strip().partition("=")
+                    metadata[key.strip()] = value
+                    continue
+                if header is None:
+                    header = line.split(",")
+                    if tuple(header) != COLUMNS:
+                        raise ValueError(f"unexpected columns {header}")
+                    continue
+                if line.count(",") != 5:
+                    raise ValueError(f"line {number} has {line.count(',') + 1} fields, expected 6")
+                rows.append(line)
+            first += len(lines)
+            if rows:
+                fields = ",".join(rows).split(",")
+                times.append(np.fromiter(map(int, fields[0::6]), np.int64, len(rows)))
+                del fields[0::6]
+                values.append(np.fromiter(map(float, fields), np.float64).reshape(-1, 5))
         if header is None:
             raise ValueError("missing column header")
-        cols = list(zip(*rows)) if rows else [[] for _ in COLUMNS]
+        p, re_clique, im_clique, re_star, im_star = np.concatenate(values).T
         return cls(
-            times=np.asarray([int(v) for v in cols[0]], dtype=np.int64),
-            p_hub=np.asarray([float(v) for v in cols[1]], dtype=np.float64),
-            psi_clique_in=_complex(cols[2], cols[3]),
-            psi_star_in=_complex(cols[4], cols[5]),
+            times=np.concatenate(times),
+            p_hub=p.copy(),  # contiguous, not a view that keeps all five columns
+            psi_clique_in=_complex(re_clique, im_clique),
+            psi_star_in=_complex(re_star, im_star),
             metadata=metadata,
         )
 
     # ---- JSON ----
 
     def to_json(self, stream: io.TextIOBase) -> None:
-        payload = {
-            "metadata": dict(self.metadata),
-            "columns": {
-                "t": [int(v) for v in self.times],
-                "p_vstar": [float(v) for v in self.p_hub],
-                "re_psi_clique_in": [float(v) for v in self.psi_clique_in.real],
-                "im_psi_clique_in": [float(v) for v in self.psi_clique_in.imag],
-                "re_psi_star_in": [float(v) for v in self.psi_star_in.real],
-                "im_psi_star_in": [float(v) for v in self.psi_star_in.imag],
-            },
-        }
-        json.dump(payload, stream, indent=1)
-        stream.write("\n")
+        # the bytes of json.dump({"metadata": ..., "columns": ...}, indent=1)
+        metadata = json.dumps(dict(self.metadata), indent=1).replace("\n", "\n ")
+        stream.write('{\n "metadata": %s,\n "columns": {' % metadata)
+        for i, (name, col) in enumerate(zip(COLUMNS, self._columns())):
+            items = _JSON_ITEMS.encode(col.tolist())
+            items = "[\n   %s\n  ]" % items[1:-1] if len(col) else "[]"
+            stream.write('%s\n  "%s": %s' % ("," if i else "", name, items))
+        stream.write("\n }\n}\n")
 
     @classmethod
     def from_json(cls, stream: io.TextIOBase) -> "ProbabilityTrace":

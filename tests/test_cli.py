@@ -169,6 +169,10 @@ def test_full_mode_arc_budget(tmp_path):
         ["optimal-time", "--n", "1000000", "--alpha", "100"],
         ["optimal-time", "--n", "100", "--alpha", "nan"],
         ["optimal-time", "--n", str(10**19), "--alpha", "0"],  # t_opt beyond int64
+        ["optimal-time", "--n", "100", "--m", str(10**400)],  # beyond the float range
+        ["spectrum", "--n", "100", "--m", str(10**308)],  # (N-1)(N+m-1) beyond it
+        ["simulate", "--n", str(10**200), "--m", "1", "--steps", "10", "--mode", "closed"],
+        ["optimal-time", "--n", "1000000", "--alpha", "51"],  # m = 1e306 fits, the product not
     ],
 )
 def test_config_errors_leave_no_file(tmp_path, args):

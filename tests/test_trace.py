@@ -2,8 +2,9 @@ import io
 
 import numpy as np
 import pytest
+import trace_reference
 
-from starclique.trace import ProbabilityTrace
+from starclique.trace import _BLOCK, COLUMNS, ProbabilityTrace
 
 
 def _awkward_trace() -> ProbabilityTrace:
@@ -16,6 +17,115 @@ def _awkward_trace() -> ProbabilityTrace:
     return ProbabilityTrace(
         times=times, p_hub=p, psi_clique_in=clique, psi_star_in=star, metadata=meta
     )
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+
+
+def _pair(re, im) -> np.ndarray:
+    # re + 1j * im would turn an infinite part into a NaN one
+    out = np.asarray(re, dtype=np.float64).astype(np.complex128)
+    out.imag = im
+    return out
+
+
+def _with_special_amplitudes(trace: ProbabilityTrace) -> ProbabilityTrace:
+    # amplitudes no walk produces, still written and read like any float
+    special = np.array(_SPECIAL)
+    return ProbabilityTrace(
+        times=np.arange(len(trace) + len(special), dtype=np.int64),
+        p_hub=np.concatenate([trace.p_hub, np.full(len(special), 0.25)]),
+        psi_clique_in=np.concatenate([trace.psi_clique_in, _pair(special, special[::-1])]),
+        psi_star_in=np.concatenate([trace.psi_star_in, _pair(special[::-1], special)]),
+        metadata=trace.metadata,
+    )
+
+
+def _random_trace(rows: int) -> ProbabilityTrace:
+    rng = np.random.default_rng(rows)
+    amplitudes = rng.standard_normal((4, rows)) * 10.0 ** rng.integers(-300, 3, (4, rows))
+    amplitudes[:, :5] = _SPECIAL[:rows]
+    return ProbabilityTrace(
+        times=np.arange(rows, dtype=np.int64) + 7,
+        p_hub=rng.random(rows),
+        psi_clique_in=_pair(amplitudes[0], amplitudes[1]),
+        psi_star_in=_pair(amplitudes[2], amplitudes[3]),
+        metadata={"n": "100", "m": "10", "mode": "collapsed"},
+    )
+
+
+def _assert_same_trace(parsed: ProbabilityTrace, trace: ProbabilityTrace) -> None:
+    # bit for bit, so a -0.0 and each NaN payload must survive
+    for name in ("times", "p_hub", "psi_clique_in", "psi_star_in"):
+        got, want = getattr(parsed, name), getattr(trace, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert parsed.metadata == trace.metadata
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [
+        _with_special_amplitudes(_awkward_trace()),
+        _random_trace(0),
+        ProbabilityTrace(
+            times=np.arange(2, dtype=np.int64),
+            p_hub=np.array([0.0, 1.0]),
+            psi_clique_in=np.array([1.0 + 0j, 0.5j]),
+            psi_star_in=np.zeros(2, dtype=np.complex128),
+            metadata={"note": "a=b=c", "label": "Szegedy–Grover ψ, α = ½", "": "x=y"},
+        ),
+    ],
+    ids=["special-values", "no-rows", "metadata-text"],
+)
+def test_writers_match_row_at_a_time_reference(trace):
+    for write, reference in (
+        (trace.to_csv, trace_reference.to_csv),
+        (trace.to_json, trace_reference.to_json),
+    ):
+        got, want = io.StringIO(), io.StringIO()
+        write(got)
+        reference(trace, want)
+        assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_round_trips_across_blocks_are_exact(rows):
+    trace = _random_trace(rows)
+    for write, parse in (
+        (trace.to_csv, ProbabilityTrace.from_csv),
+        (trace.to_json, ProbabilityTrace.from_json),
+    ):
+        buffer = io.StringIO()
+        write(buffer)
+        _assert_same_trace(parse(io.StringIO(buffer.getvalue())), trace)
+
+
+def test_csv_reader_skips_comments_and_blank_lines_and_takes_crlf():
+    trace = _random_trace(2 * _BLOCK + 3)
+    clean = io.StringIO()
+    trace.to_csv(clean)
+    lines = clean.getvalue().splitlines()
+    messy = []
+    for i, line in enumerate(lines):
+        messy.append(line)
+        if i % 1000 == 999:
+            messy.append("# mode=collapsed")  # a metadata line repeated mid-data
+        if i % 777 == 5:
+            messy.extend(["", "   "])
+    parsed = ProbabilityTrace.from_csv(io.StringIO("\r\n".join(messy) + "\r\n", newline=""))
+    _assert_same_trace(parsed, trace)
+
+
+@pytest.mark.parametrize("before", [1, _BLOCK + 10])  # good rows before the bad one
+@pytest.mark.parametrize(
+    "row, fields", [("3,0.5,0,0,0", 5), ("3,0.5,0,0,0,0,0", 7), ("3", 1)]
+)
+def test_rejects_row_without_six_fields(row, fields, before):
+    good = "2,0.5,0,0,0,0\n"
+    text = f"# n=3\n{','.join(COLUMNS)}\n{good * before}{row}\n{good}"
+    line = 3 + before
+    with pytest.raises(ValueError, match=f"^line {line} has {fields} fields, expected 6$"):
+        ProbabilityTrace.from_csv(io.StringIO(text))
 
 
 def test_csv_round_trip_is_exact():
@@ -61,6 +171,14 @@ def test_rejects_probability_outside_unit_interval():
             psi_clique_in=zeros,
             psi_star_in=zeros,
         )
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"^p_vstar outside \[0, 1\]$"):
+            ProbabilityTrace(
+                times=times,
+                p_hub=np.array([bad, 0.5]),
+                psi_clique_in=zeros,
+                psi_star_in=zeros,
+            )
 
 
 def test_rejects_mismatched_columns():
