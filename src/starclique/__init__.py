@@ -57,7 +57,6 @@ from .spectral import (
     closed_form_probability,
     discriminant_angles,
     discriminant_eigenvectors,
-    reference_amplitudes,
     walk_eigensystem,
 )
 from .trace import ProbabilityTrace
@@ -102,7 +101,6 @@ __all__ = [
     "optimal_time_branch",
     "optimal_time_exact",
     "probability_approx",
-    "reference_amplitudes",
     "run_checks",
     "shift",
     "step",

@@ -31,6 +31,7 @@ from .trace import ProbabilityTrace
 from .verify import run_checks
 
 DEFAULT_ARC_BUDGET = 10**7
+_INT64_MAX = 2**63 - 1
 
 _MODES = ("full", "collapsed", "closed", "asymptotic")
 _PHASES = {"reverse": LeafPhase.REVERSAL, "plain": LeafPhase.PLAIN}
@@ -67,18 +68,31 @@ def _resolve_sizes(args: argparse.Namespace) -> Sizes:
     if args.alpha is not None:
         if not (math.isfinite(args.alpha) and args.alpha >= 0):
             raise ConfigError(f"--alpha must be finite and >= 0, got {args.alpha}")
-        try:
-            m = leaves_from_alpha(args.n, args.alpha)
-        except OverflowError:
-            raise ConfigError(f"leaf count {args.n}**{args.alpha} overflows") from None
+        m = _leaf_count(args.n, args.alpha)
     elif args.m < 1:
         raise ConfigError(f"--m must be at least 1, got {args.m}")
     else:
         m = args.m
-    # the discriminant angles divide by (N-1)(N+m-1) as a float
-    if (args.n - 1) * (args.n + m - 1) > sys.float_info.max:
-        raise ConfigError("sizes beyond the float range: (N-1)(N+m-1) exceeds 1.8e308")
+        _check_sizes(args.n, m)
     return Sizes(n=args.n, m=m, alpha=args.alpha)
+
+
+def _check_sizes(n: int, m: int) -> None:
+    if n > _INT64_MAX:
+        raise ConfigError(f"clique size beyond int64: at most {_INT64_MAX}")
+    # the discriminant angles divide by (N-1)(N+m-1) as a float
+    if (n - 1) * (n + m - 1) > sys.float_info.max:
+        raise ConfigError("sizes beyond the float range: (N-1)(N+m-1) exceeds 1.8e308")
+
+
+def _leaf_count(n: int, alpha: float) -> int:
+    """floor(N**alpha) for a clique size of at least 3, size-checked."""
+    try:
+        m = leaves_from_alpha(n, alpha)
+    except OverflowError:
+        raise ConfigError(f"leaf count {n}**{alpha} overflows") from None
+    _check_sizes(n, m)
+    return m
 
 
 def _check_arc_budget(sizes: Sizes, budget: int) -> None:
@@ -178,6 +192,14 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     if not worst < 1e-10:
         print(f"spectral residual {worst:.3e} exceeds 1e-10", file=sys.stderr)
         return 1
+    deviation = audit.report.numeric_deviation
+    if not deviation <= spectral.NUMERIC_TOLERANCE:
+        print(
+            f"numeric eigenvector deviation {deviation:.3e} exceeds "
+            f"{spectral.NUMERIC_TOLERANCE:g} inside the numeric domain",
+            file=sys.stderr,
+        )
+        return 1
     payload = {
         "version": __version__,
         "alpha": sizes.alpha,
@@ -228,10 +250,13 @@ def _cmd_phase_diagram(args: argparse.Namespace) -> int:
         raise ConfigError("phase diagram needs at least 2 alpha values")
     if len(set(n_grid)) < 4:
         raise ConfigError("phase diagram needs at least 4 clique sizes")
-    if any(a < 0 for a in alphas):
-        raise ConfigError("alpha values must be nonnegative")
+    if not all(math.isfinite(a) and a >= 0 for a in alphas):
+        raise ConfigError("alpha values must be finite and nonnegative")
     if any(n < 3 for n in n_grid):
         raise ConfigError("clique sizes must be at least 3")
+    for n in n_grid:
+        for alpha in alphas:
+            _leaf_count(n, alpha)
     fits = [asym.exponent_fit(alpha, n_grid) for alpha in alphas]
 
     fmt = args.format or "csv"

@@ -4,8 +4,10 @@ Runs the consistency checks that tie the three evaluators together on one
 parameter point: full arc-space evolution against the reduced iteration,
 the reduced operator against the conjugated full operator, commutation of
 the evolution with the class-averaging projection, unitarity, shift
-involution, spectral residuals, and the eigenbasis evaluator against plain
-iteration.  Used by the command-line ``verify`` command and by the tests.
+involution, the residuals of the analytic eigenpairs, the numeric
+eigenvectors against them inside their domain, and the eigenbasis
+evaluator against plain iteration.  Used by the command-line ``verify``
+command and by the tests.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from . import collapsed as cw
 from . import full_walk as fw
 from .graph import GluedGraph, LeafPhase, build_graph
-from .spectral import EigenbasisEvaluator, discriminant_angles
+from .spectral import EigenbasisEvaluator, discriminant_angles, walk_eigensystem
 
 
 @dataclass(frozen=True)
@@ -198,9 +200,10 @@ def run_checks(
         )
     )
 
-    # spectral residuals and eigenbasis evaluator (reversal spectrum)
-    evaluator = EigenbasisEvaluator(n_clique, n_leaves)
-    dev = max(evaluator.residuals)
+    # the analytic eigenpairs (reversal spectrum): residuals, and the
+    # numeric eigenvectors inside their domain
+    spectrum = walk_eigensystem(n_clique, n_leaves)
+    dev = max(spectrum.residuals)
     checks.append(
         CheckResult(
             name="spectral_residuals",
@@ -209,12 +212,24 @@ def run_checks(
             tolerance=residual_tol,
         )
     )
+    dev = spectrum.numeric_deviation
+    checked = sum(pair.in_domain for pair in spectrum.eigenpairs)
+    checks.append(
+        CheckResult(
+            name="numeric_eigenvectors",
+            passed=dev <= eigenbasis_tol,
+            max_deviation=dev,
+            tolerance=eigenbasis_tol,
+            detail=f"{checked} of 5 analytic pairs inside the numeric domain",
+        )
+    )
 
     times = np.arange(steps + 1)
     reversal_p = reduced_trace.p_hub
     if leaf_phase is not LeafPhase.REVERSAL:
         reversal = cw.build_reduced_operators(n_clique, n_leaves, LeafPhase.REVERSAL)
         reversal_p = cw.hub_series(reversal, start, times)[0]
+    evaluator = EigenbasisEvaluator(n_clique, n_leaves)
     dev = float(np.abs(evaluator.hub_series(times)[0] - reversal_p).max())
     checks.append(
         CheckResult(

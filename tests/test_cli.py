@@ -1,4 +1,5 @@
 import json
+import math
 from functools import partial
 
 import numpy as np
@@ -168,16 +169,24 @@ def test_full_mode_arc_budget(tmp_path):
         ["phase-diagram", "--alphas", "0.5"],
         ["optimal-time", "--n", "1000000", "--alpha", "100"],
         ["optimal-time", "--n", "100", "--alpha", "nan"],
-        ["optimal-time", "--n", str(10**19), "--alpha", "0"],  # t_opt beyond int64
+        ["optimal-time", "--n", str(10**19), "--alpha", "0"],  # N beyond int64
         ["optimal-time", "--n", "100", "--m", str(10**400)],  # beyond the float range
         ["spectrum", "--n", "100", "--m", str(10**308)],  # (N-1)(N+m-1) beyond it
         ["simulate", "--n", str(10**200), "--m", "1", "--steps", "10", "--mode", "closed"],
         ["optimal-time", "--n", "1000000", "--alpha", "51"],  # m = 1e306 fits, the product not
+        ["phase-diagram", "--alphas", "0,0.5",  # grid sizes beyond int64
+         "--n-grid", ",".join(str(k * 10**20) for k in (1, 2, 4, 8))],
+        ["phase-diagram", "--alphas", "0,200", "--n-grid", "256,1024,4096,16384"],
+        ["phase-diagram", "--alphas", "nan,0", "--n-grid", "256,1024,4096,16384"],
+        ["phase-diagram", "--alphas", "0,0.5",  # beyond the float range
+         "--n-grid", ",".join(str(k * 10**200) for k in (1, 2, 4, 8))],
     ],
 )
-def test_config_errors_leave_no_file(tmp_path, args):
+def test_config_errors_leave_no_file(tmp_path, capsys, args):
     out = tmp_path / "never.csv"
     assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -199,6 +208,49 @@ def test_spectrum_smallest(tmp_path):
     assert payload["spectrum"]["cos_theta_1"] == pytest.approx(0.879153, abs=1e-6)
     assert max(payload["spectrum"]["residuals"]) < 1e-10
     assert payload["closed_form_audit"]["flagged"]
+
+
+def test_spectrum_at_largest_size_writes_analytic_pairs(tmp_path):
+    # theta_1 is about 1.4e-18: beyond what the float64 eigensolver resolves
+    n = 10**18
+    out = tmp_path / "spectrum.json"
+    assert main(["spectrum", "--n", str(n), "--m", "1", "--out", str(out)]) == 0
+    spectrum = json.loads(out.read_text())["spectrum"]
+    assert max(spectrum["residuals"]) <= 1e-15
+    assert not any(pair["in_domain"] for pair in spectrum["eigenpairs"])
+    assert any("out of domain" in flag for flag in spectrum["formula_flags"])
+    plus = spectrum["eigenpairs"][0]
+    assert plus["value_im"] == pytest.approx(math.sqrt(2) / n, rel=1e-12)
+    assert plus["residual"] <= 1e-15
+
+
+def test_numeric_eigenvector_deviation_fails_spectrum_and_verify(
+    tmp_path, capsys, monkeypatch
+):
+    eig = np.linalg.eig
+
+    def perturbed(matrix):
+        values, vectors = eig(matrix)
+        vectors = vectors.copy()
+        vectors[0, 0] += 1e-6
+        return values, vectors
+
+    monkeypatch.setattr(sc.spectral.np.linalg, "eig", perturbed)
+    out = tmp_path / "spectrum.json"
+    assert main(["spectrum", "--n", "100", "--m", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric eigenvector deviation") and err.count("\n") == 1
+    assert not out.exists()
+    assert main(["verify", "--n", "10", "--m", "3", "--steps", "20"]) == 1
+    assert "FAIL numeric_eigenvectors" in capsys.readouterr().out
+
+
+def test_closed_mode_at_large_size(tmp_path):
+    n = 10**16
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", "--mode", "closed", "--n", str(n), "--m", "1",
+                 "--steps", "2", "--out", str(out)]) == 0
+    assert abs(read_trace(out).p_hub[0] - 1 / n) <= 1e-15
 
 
 def test_spectrum_alpha_one(tmp_path):

@@ -87,6 +87,9 @@ def test_walk_eigensystem_core(n, m):
     ]
     assert np.allclose(values, expected, atol=1e-14)
     assert max(report.residuals) < 1e-10
+    # inside the numeric domain the eigensolver agrees with the analytic pairs
+    assert all(pair.in_domain for pair in report.eigenpairs)
+    assert report.numeric_deviation < 1e-12
     vectors = np.column_stack([p.vector for p in report.eigenpairs])
     gram = vectors.conj().T @ vectors
     assert np.abs(gram - np.eye(5)).max() < 1e-10
@@ -157,9 +160,9 @@ def test_flip_normalization_exact_vs_expansion():
     assert np.linalg.norm(unit) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_reference_amplitudes_at_time_zero():
+def test_evaluator_amplitudes_at_time_zero():
     n, m = 100, 10
-    ref = sc.reference_amplitudes(n, m, 0)
+    ref = sc.EigenbasisEvaluator(n, m).amplitudes(0)
     assert ref.psi_clique_in == pytest.approx(1 / math.sqrt(n), abs=1e-12)
     assert abs(ref.psi_star_in) < 1e-12
 
@@ -249,9 +252,9 @@ def test_negative_time_rejected():
 # two-plane closed form
 
 
-def _reference_probability(mp, n, m, t):
-    """p(t) from M^t psi0 at 50 digits, M built from exact integers and
-    raised by repeated squaring: independent of every closed form."""
+def _reference_state(mp, n, m, t):
+    """M^t psi0 at 50 digits, M built from exact integers and raised by
+    repeated squaring: independent of every closed form."""
     with mp.workdps(50):
         big_n, big_m = mp.mpf(n), mp.mpf(m)
         boundary = mp.zeros(3, 5)
@@ -270,7 +273,12 @@ def _reference_probability(mp, n, m, t):
                 psi = power * psi
             power = power * power
             t >>= 1
-        return abs(psi[ArcClass.CLIQUE_IN]) ** 2 + abs(psi[ArcClass.STAR_IN]) ** 2
+        return [float(psi[k]) for k in range(5)]
+
+
+def _reference_probability(mp, n, m, t):
+    psi = _reference_state(mp, n, m, t)
+    return psi[ArcClass.CLIQUE_IN] ** 2 + psi[ArcClass.STAR_IN] ** 2
 
 
 @pytest.mark.parametrize("exponent", range(3, 19))
@@ -280,8 +288,36 @@ def test_two_plane_optimal_probability_matches_50_digit_reference(exponent):
     for m in sorted({1, math.isqrt(n), n}):
         t_opt = sc.optimal_time_exact(n, m)
         p = sp.hub_series(n, m, [t_opt])[0][0]
-        assert abs(p - float(_reference_probability(mp, n, m, t_opt))) < 1e-10
+        assert abs(p - _reference_probability(mp, n, m, t_opt)) < 1e-10
         assert sc.closed_form_probability(n, m, t_opt) == p
+
+
+@pytest.mark.parametrize("exponent", range(3, 19))
+def test_evaluator_state_matches_50_digit_reference(exponent):
+    # every component to a relative 1e-10, or to 1e-15 absolute below that
+    mp = pytest.importorskip("mpmath")
+    n = 10**exponent
+    for m in sorted({1, math.isqrt(n), n}):
+        evaluator = sc.EigenbasisEvaluator(n, m)
+        for t in (0, 1, sc.optimal_time_exact(n, m)):
+            want = np.array(_reference_state(mp, n, m, t))
+            got = evaluator.state(t)
+            assert got.shape == (5,)
+            assert (np.abs(got - want) <= np.maximum(1e-10 * np.abs(want), 1e-15)).all()
+
+
+def test_evaluators_use_no_linear_algebra(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("linear algebra on the evaluator path")
+
+    monkeypatch.setattr(sp, "build_reduced_operators", forbidden)
+    for name in ("eig", "eigh", "eigvals", "norm", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    evaluator = sc.EigenbasisEvaluator(10**6, 1000)
+    evaluator.state_series(range(5))
+    evaluator.eigenpairs()
+    sp.hub_series(10**6, 1000, [0, 7])
+    sc.closed_form_probability(10**6, 1000, 7)
 
 
 @pytest.mark.parametrize(
