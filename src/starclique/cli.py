@@ -166,7 +166,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.mode == "full":
         _check_arc_budget(sizes, args.arc_budget)
         graph = build_graph(sizes.n, sizes.m)
-        series = partial(fw.hub_series, graph, fw.initial_state(graph), phase)
+        series = partial(fw.hub_series, graph, None, phase)  # the uniform start
     elif args.mode == "collapsed":
         ops = cw.build_reduced_operators(sizes.n, sizes.m, phase)
         start = cw.collapsed_initial_state(sizes.n, sizes.m)

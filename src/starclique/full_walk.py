@@ -13,6 +13,13 @@ column sums, the coin subtracts the block from one row of per-vertex
 values, and the shift is a transpose.  A step is one pass over the block,
 updated in place on a private copy; no operator matrix is materialized.
 
+From the uniform start the walk is real (a real coin, leaf phase +-1), so
+``initial_state`` is float64 and the oracle runs in real arithmetic: half
+the bytes of a complex block per step.  The step, shift, probability and
+projection work for any dtype, so complex states evolve as before.
+``hub_series`` and ``evolve`` take ``None`` for the uniform start and then
+build it themselves, so a run holds one N x N block.
+
 The public functions never write to their inputs; a state can be handed
 between threads and parameter sweeps can run concurrently on independent
 (graph, state) pairs.
@@ -40,20 +47,19 @@ class WalkState:
     the arc from leaf j into the hub and ``star_out[j]`` on the arc back.
     """
 
-    clique: np.ndarray    # complex128, shape (n_clique, n_clique)
-    star_in: np.ndarray   # complex128, shape (n_leaves,)
-    star_out: np.ndarray  # complex128, shape (n_leaves,)
+    clique: np.ndarray    # float64 or complex128, shape (n_clique, n_clique)
+    star_in: np.ndarray   # same dtype, shape (n_leaves,)
+    star_out: np.ndarray  # same dtype, shape (n_leaves,)
     time: int = 0
 
 
 def initial_state(graph: GluedGraph) -> WalkState:
-    """Uniform state on the clique arcs: 1/sqrt(N(N-1)) there, 0 on the star."""
+    """Uniform state on the clique arcs: 1/sqrt(N(N-1)) there, 0 on the star.
+    Real (float64): the walk from it stays real."""
     n, m = graph.n_clique, graph.n_leaves
-    clique = np.full((n, n), 1.0 / math.sqrt(n * (n - 1)), dtype=np.complex128)
+    clique = np.full((n, n), 1.0 / math.sqrt(n * (n - 1)))
     np.fill_diagonal(clique, 0.0)
-    return WalkState(
-        clique, np.zeros(m, dtype=np.complex128), np.zeros(m, dtype=np.complex128)
-    )
+    return WalkState(clique, np.zeros(m), np.zeros(m))
 
 
 def arc_amplitudes(state: WalkState) -> np.ndarray:
@@ -163,16 +169,20 @@ def lift(graph: GluedGraph, state: CollapsedState) -> WalkState:
 
 
 def hub_series(
-    graph: GluedGraph, state: WalkState, leaf_phase: LeafPhase, times
+    graph: GluedGraph, state: WalkState | None, leaf_phase: LeafPhase, times
 ) -> HubSeries:
     """Hub series after each of the ascending step counts ``times`` from
     ``state``; p_hub is measured on the arcs into the hub.  The walk runs on
-    one private copy of ``state``, advanced in place."""
+    one private copy of ``state``, advanced in place; ``None`` starts from
+    ``initial_state(graph)``, built here and advanced without a copy."""
     steps = ascending_steps(times)
     p = np.empty(len(steps), dtype=np.float64)
     clique_in = np.empty(len(steps), dtype=np.complex128)
     star_in = np.empty(len(steps), dtype=np.complex128)
-    current = _private_copy(graph, state)
+    if state is None:
+        current = initial_state(graph)
+    else:
+        current = _private_copy(graph, state)
     done = 0
     for row, t in enumerate(steps):
         for _ in range(t - done):
@@ -187,12 +197,13 @@ def hub_series(
 
 def evolve(
     graph: GluedGraph,
-    state: WalkState,
+    state: WalkState | None,
     t_max: int,
     leaf_phase: LeafPhase = LeafPhase.REVERSAL,
 ) -> ProbabilityTrace:
     """Run ``t_max`` steps, recording the hub probability and the collapsed
-    amplitudes on the two hub-bound classes at every step (t_max + 1 rows)."""
+    amplitudes on the two hub-bound classes at every step (t_max + 1 rows).
+    ``None`` is the uniform start, as in ``hub_series``."""
     metadata = {
         "n": str(graph.n_clique),
         "m": str(graph.n_leaves),
@@ -200,4 +211,5 @@ def evolve(
         "leaf_phase": leaf_phase.value,
     }
     series = partial(hub_series, graph, state, leaf_phase)
-    return ProbabilityTrace.from_series(series, t_max, metadata, state.time)
+    start = 0 if state is None else state.time
+    return ProbabilityTrace.from_series(series, t_max, metadata, start)

@@ -124,7 +124,7 @@ def run_checks(
         )
 
     # full evolution vs reduced iteration
-    full_trace = fw.evolve(graph, fw.initial_state(graph), steps, full_phase)
+    full_trace = fw.evolve(graph, None, steps, full_phase)  # the uniform start
     ops = cw.build_reduced_operators(n_clique, n_leaves, leaf_phase)
     start = cw.collapsed_initial_state(n_clique, n_leaves)
     reduced_trace = cw.evolve_collapsed(ops, start, steps)

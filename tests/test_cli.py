@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -72,6 +73,9 @@ def test_simulate_repeat_is_byte_identical(tmp_path):
 
 def _library_series(mode, n, alpha):
     m = sc.leaves_from_alpha(n, alpha)
+    if mode == "full":
+        graph = sc.build_graph(n, m)
+        return partial(sc.full_walk.hub_series, graph, None, sc.LeafPhase.REVERSAL)
     if mode == "collapsed":
         ops = sc.build_reduced_operators(n, m)
         return partial(sc.collapsed.hub_series, ops, sc.collapsed_initial_state(n, m))
@@ -80,7 +84,7 @@ def _library_series(mode, n, alpha):
     return partial(sc.asymptotics.hub_series, n, alpha)
 
 
-@pytest.mark.parametrize("mode", ["collapsed", "closed", "asymptotic"])
+@pytest.mark.parametrize("mode", ["full", "collapsed", "closed", "asymptotic"])
 def test_simulate_csv_matches_library_trace(tmp_path, mode):
     out = tmp_path / "trace.csv"
     assert (
@@ -140,6 +144,21 @@ def test_asymptotic_mode_envelope(tmp_path):
     theta_1 = sc.discriminant_angles(100, 1).theta_1
     expected = 0.5 * np.sin(np.arange(223) * theta_1) ** 2
     assert np.abs(trace.p_hub - expected).max() < 1e-12
+
+
+def test_full_mode_holds_one_real_block(tmp_path):
+    # the float64 clique block is 8 N^2 bytes; no start copy sits beside it
+    n = 400
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        code = main(["simulate", "--n", str(n), "--m", "20", "--steps", "5",
+                     "--mode", "full", "--out", str(tmp_path / "t.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 1.5 * 8 * n * n
 
 
 def test_full_mode_arc_budget(tmp_path):

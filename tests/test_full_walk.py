@@ -97,13 +97,60 @@ def test_step_matches_arc_table_reference(n, m, phase):
 @pytest.mark.parametrize("phase", [LeafPhase.REVERSAL, LeafPhase.PLAIN])
 def test_walks_leave_the_input_state_untouched(phase):
     g = sc.build_graph(9, 4)
-    state = random_walk_states(g, 1, seed=21)[0]
-    before = [a.copy() for a in (state.clique, state.star_in, state.star_out)]
-    hub_series(g, state, phase, [0, 3, 10])
-    sc.evolve(g, state, 10, phase)
-    sc.step(g, state, phase)
-    after = (state.clique, state.star_in, state.star_out)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+    # a complex128 state and the float64 uniform start
+    for state in (random_walk_states(g, 1, seed=21)[0], sc.initial_state(g)):
+        before = [a.copy() for a in (state.clique, state.star_in, state.star_out)]
+        hub_series(g, state, phase, [0, 3, 10])
+        sc.evolve(g, state, 10, phase)
+        sc.step(g, state, phase)
+        after = (state.clique, state.star_in, state.star_out)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+        assert all(a.dtype == b.dtype for a, b in zip(after, before))
+
+
+def test_initial_state_is_real():
+    g = sc.build_graph(12, 3)
+    state = sc.initial_state(g)
+    assert all(a.dtype == np.float64 for a in (state.clique, state.star_in, state.star_out))
+    p, clique_in, star_in = hub_series(g, None, LeafPhase.REVERSAL, [0, 5])
+    assert (p.dtype, clique_in.dtype, star_in.dtype) == (
+        np.float64, np.complex128, np.complex128
+    )
+
+
+def _as_complex(state):
+    return sc.WalkState(
+        *(a.astype(np.complex128) for a in (state.clique, state.star_in, state.star_out)),
+        state.time,
+    )
+
+
+@pytest.mark.parametrize("phase", [LeafPhase.REVERSAL, LeafPhase.PLAIN])
+def test_real_walk_matches_complex_walk(phase):
+    # the float64 oracle and the same start cast to complex128 agree
+    g = sc.build_graph(57, 9)
+    real = sc.initial_state(g)
+    cplx = _as_complex(real)
+    for _ in range(300):
+        real, cplx = sc.step(g, real, phase), sc.step(g, cplx, phase)
+    assert real.clique.dtype == np.float64 and cplx.clique.dtype == np.complex128
+    assert np.abs(arc_amplitudes(real) - arc_amplitudes(cplx)).max() <= 1e-14
+    # hub_series advances one block in place, alternating its memory order;
+    # numpy sums a contiguous column pairwise, blocked differently for float64
+    # and complex128, so the series differ by rounding (1.1e-14 on p at most)
+    times = np.arange(301)
+    from_none = hub_series(g, None, phase, times)
+    from_complex = hub_series(g, _as_complex(sc.initial_state(g)), phase, times)
+    for got, want in zip(from_none, from_complex):
+        assert np.abs(got - want).max() <= 2e-14
+
+
+def test_evolve_from_none_is_the_uniform_start():
+    g = sc.build_graph(20, 4)
+    from_none = sc.evolve(g, None, 30)
+    given = sc.evolve(g, sc.initial_state(g), 30)
+    for column in ("times", "p_hub", "psi_clique_in", "psi_star_in"):
+        assert getattr(from_none, column).tobytes() == getattr(given, column).tobytes()
 
 
 @pytest.mark.parametrize("n,m", [(3, 1), (10, 3), (57, 9)])
@@ -127,10 +174,12 @@ def test_evolve_plain_baseline_stays_low():
 
 
 def test_real_dynamics_from_uniform_state():
+    # in complex arithmetic, so the float64 oracle's premise is checked
     g = sc.build_graph(50, 7)
-    state = sc.initial_state(g)
+    state = _as_complex(sc.initial_state(g))
     for _ in range(100):
         state = sc.step(g, state)
+    assert state.clique.dtype == np.complex128
     assert np.abs(arc_amplitudes(state).imag).max() < 1e-12
 
 
