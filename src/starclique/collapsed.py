@@ -4,8 +4,16 @@ The walk started from the uniform clique state never leaves the span of the
 five class-uniform vectors, so the full evolution collapses to a 5x5
 orthogonal matrix.  This module builds that matrix from closed-form entries
 (validated against the conjugated full operator in the test suite) and
-iterates it at O(1) cost per step, which keeps clique sizes of 10^6 and
-beyond on a desk.
+iterates it, which keeps clique sizes of 10^6 and beyond on a desk.
+
+``hub_series`` iterates in blocks of ``_BLOCK`` steps: the powers
+M^0 .. M^(B-1) of the step operator are built once per call by successive
+5x5 products, every row of a block is one of those powers applied to the
+block's start state, and the next block starts one step after the block's
+last state.  Each row is thus M^k applied to a state reached by stepping,
+with k < B.  Its rounding error is of the same order as that of stepping
+one step at a time, O(t eps) after t steps: both lie about as far from
+the closed form, and within 1.3e-13 of each other, over 5e4 steps.
 
 Class order is fixed everywhere as
 (CLIQUE_INTERIOR, CLIQUE_IN, CLIQUE_OUT, STAR_IN, STAR_OUT);
@@ -21,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .graph import ArcClass, LeafPhase, class_sizes
+from .graph import HUB_BOUND, ArcClass, LeafPhase, class_sizes
 from .trace import HubSeries, ProbabilityTrace, hub_probability
 
 
@@ -56,6 +64,8 @@ class ReducedOperators:
     evolution: np.ndarray    # float64, (5, 5)
     discriminant: np.ndarray  # float64, (3, 3)
 
+
+_BLOCK = 256  # steps per stacked product of step powers in hub_series
 
 #: Arc-inversion permutation on the five classes.
 _SHIFT = np.array(
@@ -121,29 +131,44 @@ def success_probability(state: CollapsedState) -> float:
     return float(hub_probability(amps[ArcClass.CLIQUE_IN], amps[ArcClass.STAR_IN]))
 
 
-def ascending_steps(times) -> list[int]:
-    """Step counts of an iterative backend's rows; one pass visits them all."""
+def ascending_steps(times) -> np.ndarray:
+    """Step counts of an iterative backend's rows, as int64; one pass
+    visits them all."""
     steps = np.asarray(times, dtype=np.int64)
     if (np.diff(steps, prepend=0) < 0).any():
         raise ValueError("step counts must be nonnegative and ascending")
-    return steps.tolist()
+    return steps
 
 
 def hub_series(ops: ReducedOperators, state: CollapsedState, times) -> HubSeries:
     """Hub series after each of the ascending step counts ``times`` from
-    ``state``, iterating the reduced step operator."""
+    ``state``, iterating the reduced step operator a block of steps at a
+    time; only the requested rows are kept."""
     steps = ascending_steps(times)
     evolution = ops.evolution
-    psi = state.amplitudes  # the product below never writes to its input
-    clique_in = np.empty(len(steps), dtype=np.complex128)
-    star_in = np.empty(len(steps), dtype=np.complex128)
-    done = 0
-    for row, t in enumerate(steps):
-        for _ in range(t - done):
-            psi = evolution @ psi
-        done = t
-        clique_in[row] = psi[ArcClass.CLIQUE_IN]
-        star_in[row] = psi[ArcClass.STAR_IN]
+    psi = state.amplitudes  # no product below writes to its input
+    hub = np.empty((len(steps), 2), dtype=np.complex128)
+    if len(steps):
+        span = min(_BLOCK, int(steps[-1]) + 1)
+        powers = np.empty((span, 5, 5))
+        powers[0] = np.eye(5)
+        for k in range(1, span):
+            np.matmul(evolution, powers[k - 1], out=powers[k])
+        last = powers[-1]
+        # the hub-bound rows of every power, stacked: row 2k + j is row j of M^k
+        hub_rows = powers[:, HUB_BOUND].reshape(-1, 5).astype(np.result_type(powers, psi))
+        block, offset = np.divmod(steps, span)
+        bounds = (np.flatnonzero(np.diff(block)) + 1).tolist()
+        done = 0
+        for lo, hi in zip([0, *bounds], [*bounds, len(steps)]):
+            for _ in range(int(block[lo]) - done):
+                psi = evolution @ (last @ psi)
+            done = int(block[lo])
+            rows = offset[lo:hi]
+            amps = (hub_rows[: 2 * int(rows[-1]) + 2] @ psi).reshape(-1, 2)
+            amps[0] = psi[HUB_BOUND]  # a block's first row is its start state
+            hub[lo:hi] = amps[rows]
+    clique_in, star_in = hub[:, 0], hub[:, 1]
     return hub_probability(clique_in, star_in), clique_in, star_in
 
 

@@ -34,6 +34,11 @@ class ArcClass(IntEnum):
     STAR_OUT = 4         # hub -> leaf
 
 
+#: The two classes of arcs into the hub, (CLIQUE_IN, STAR_IN), as a slice
+#: of the class axis, so that indexing with it gives a view.
+HUB_BOUND = slice(ArcClass.CLIQUE_IN, ArcClass.STAR_IN + 1,
+                  ArcClass.STAR_IN - ArcClass.CLIQUE_IN)
+
 #: Image of each arc class under arc inversion, indexed by ArcClass value.
 INVERSE_CLASS = (
     ArcClass.CLIQUE_INTERIOR,

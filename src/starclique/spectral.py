@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .collapsed import build_reduced_operators
-from .graph import ArcClass, LeafPhase, class_sizes
+from .graph import HUB_BOUND, ArcClass, LeafPhase, class_sizes
 from .trace import HubSeries, hub_probability
 
 #: Relative deviation above which a closed-form component gets flagged.
@@ -293,23 +293,31 @@ class EigenbasisEvaluator:
         vectors.append(self._basis[4].astype(np.complex128))
         return np.array(values), np.column_stack(vectors)
 
-    def state_series(self, times: Sequence[int]) -> np.ndarray:
-        """Collapsed states for every requested time, shape (len(times), 5)."""
+    def _series(self, times: Sequence[int], columns) -> np.ndarray:
+        # the rows (cos(t theta), sin(t theta), (-1)^t) * _weights, written
+        # in place, then contracted with the requested columns of _basis
         steps = _step_counts(times)
         phases = steps[:, None] * self._thetas
-        parity = 1 - 2 * (steps % 2)
-        coefficients = np.column_stack((np.cos(phases), np.sin(phases), parity))
-        return ((coefficients * self._weights) @ self._basis).astype(np.complex128)
+        coefficients = np.empty((len(steps), 5))
+        np.cos(phases, out=coefficients[:, :2])
+        np.sin(phases, out=coefficients[:, 2:4])
+        coefficients[:, 4] = 1 - 2 * (steps % 2)
+        coefficients *= self._weights
+        return (coefficients @ self._basis[:, columns]).astype(np.complex128)
+
+    def state_series(self, times: Sequence[int]) -> np.ndarray:
+        """Collapsed states for every requested time, shape (len(times), 5)."""
+        return self._series(times, slice(None))
 
     def state(self, t: int) -> np.ndarray:
         """Collapsed state after t steps, shape (5,)."""
         return self.state_series([t])[0]
 
     def hub_series(self, times: Sequence[int]) -> HubSeries:
-        """Hub series at every requested time."""
-        states = self.state_series(times)
-        clique_in = states[:, ArcClass.CLIQUE_IN]
-        star_in = states[:, ArcClass.STAR_IN]
+        """Hub series at every requested time, from the two hub-bound
+        components alone."""
+        hub = self._series(times, HUB_BOUND)
+        clique_in, star_in = hub[:, 0], hub[:, 1]
         return hub_probability(clique_in, star_in), clique_in, star_in
 
     def amplitudes(self, t: int) -> AmplitudePair:

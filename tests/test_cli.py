@@ -161,6 +161,22 @@ def test_full_mode_holds_one_real_block(tmp_path):
     assert peak <= 1.5 * 8 * n * n
 
 
+def test_sparse_collapsed_series_holds_one_block():
+    # 10^6 steps walk through about 3900 blocks but hold one block of
+    # powers, not 10^6 rows (32 MB of hub amplitudes)
+    ops = sc.build_reduced_operators(10**4, 1)
+    start = sc.collapsed_initial_state(10**4, 1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        p = sc.collapsed.hub_series(ops, start, [10**6])[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(p) == 1
+    assert peak <= 4 * sc.collapsed._BLOCK * 25 * 8
+
+
 def test_full_mode_arc_budget(tmp_path):
     out = tmp_path / "trace.csv"
     code = main(

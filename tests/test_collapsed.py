@@ -1,10 +1,12 @@
 import math
 
+import collapsed_reference
 import numpy as np
 import pytest
 
 import starclique as sc
-from starclique.graph import LeafPhase
+from starclique.collapsed import _BLOCK
+from starclique.graph import ArcClass, LeafPhase
 from starclique.verify import conjugated_reduced_operator
 
 
@@ -167,3 +169,83 @@ def test_real_dynamics():
     for _ in range(500):
         psi = ops.evolution @ psi
     assert np.abs(psi.imag).max() < 1e-12
+
+
+def _assert_matches_reference(ops, state, times, tol):
+    got = sc.collapsed.hub_series(ops, state, times)
+    want = collapsed_reference.hub_series(ops, state, times)
+    for column, reference in zip(got, want):
+        assert column.shape == reference.shape and column.dtype == reference.dtype
+        assert np.abs(column - reference).max(initial=0.0) <= tol
+
+
+_EPS = np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("rows", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("phase", [LeafPhase.REVERSAL, LeafPhase.PLAIN])
+def test_block_kernel_matches_step_loop_dense(rows, phase):
+    # the kernel rounds differently from the loop: O(t eps) after t steps
+    ops = sc.build_reduced_operators(57, 9, phase)
+    start = sc.collapsed_initial_state(57, 9)
+    _assert_matches_reference(ops, start, np.arange(rows), rows * _EPS)
+
+
+@pytest.mark.parametrize("phase", [LeafPhase.REVERSAL, LeafPhase.PLAIN])
+def test_block_kernel_matches_step_loop_sparse(phase):
+    # gaps longer than a block, a repeated time, and no row at t = 0
+    times = [5, _BLOCK + 3, 4 * _BLOCK, 4 * _BLOCK + 1, 9 * _BLOCK + 17,
+             9 * _BLOCK + 17, 20 * _BLOCK - 1]
+    ops = sc.build_reduced_operators(10, 3, phase)
+    start = sc.collapsed_initial_state(10, 3)
+    _assert_matches_reference(ops, start, times, times[-1] * _EPS)
+    # a row does not depend on which other rows were asked for
+    dense = sc.collapsed.hub_series(ops, start, np.arange(times[-1] + 1))
+    sparse = sc.collapsed.hub_series(ops, start, times)
+    for column, full in zip(sparse, dense):
+        assert np.array_equal(column, full[times])
+
+
+def test_block_kernel_empty_and_zero_times():
+    ops = sc.build_reduced_operators(57, 9)
+    # -0.0 parts, which a product with the identity would turn into +0.0
+    amplitudes = np.array([0.6, complex(-0.0, 0.5), 0.3j, complex(-0.0, -0.0), 0.1])
+    start = sc.CollapsedState(amplitudes=amplitudes)
+    _assert_matches_reference(ops, start, [], 0.0)
+    p, clique_in, star_in = sc.collapsed.hub_series(ops, start, [0])
+    assert clique_in.tobytes() == amplitudes[ArcClass.CLIQUE_IN].tobytes()
+    assert star_in.tobytes() == amplitudes[ArcClass.STAR_IN].tobytes()
+    assert p[0] == abs(amplitudes[ArcClass.CLIQUE_IN]) ** 2
+
+
+@pytest.mark.parametrize("j", range(5))
+def test_block_kernel_on_complex_eigenbasis_starts(j):
+    # an eigenvector start keeps its hub probability at every step
+    ops = sc.build_reduced_operators(57, 9)
+    vectors = sc.EigenbasisEvaluator(57, 9).eigenpairs()[1]
+    start = sc.CollapsedState(amplitudes=vectors[:, j].copy())
+    rows = 3 * _BLOCK + 5
+    _assert_matches_reference(ops, start, np.arange(rows), rows * _EPS)
+    p = sc.collapsed.hub_series(ops, start, np.arange(rows))[0]
+    assert np.ptp(p) <= rows * _EPS
+
+
+@pytest.mark.parametrize("n,m", [(10**4, 1), (57, 9)])
+@pytest.mark.parametrize("phase", [LeafPhase.REVERSAL, LeafPhase.PLAIN])
+def test_block_kernel_matches_step_loop_long(n, m, phase):
+    ops = sc.build_reduced_operators(n, m, phase)
+    start = sc.collapsed_initial_state(n, m)
+    _assert_matches_reference(ops, start, np.arange(5 * 10**4 + 1), 1e-13)
+
+
+@pytest.mark.parametrize("n,m", [(3, 1), (57, 9), (10**4, 1), (10**6, 1000)])
+def test_block_kernel_is_as_accurate_as_step_loop(n, m):
+    # both iterate the same rounded operator; against the closed form the
+    # kernel's error stays of the loop's order (measured ratio at most 2.2)
+    times = np.arange(5 * 10**4 + 1)
+    ops = sc.build_reduced_operators(n, m)
+    start = sc.collapsed_initial_state(n, m)
+    exact = sc.spectral.hub_series(n, m, times)[0]
+    kernel = np.abs(sc.collapsed.hub_series(ops, start, times)[0] - exact).max()
+    loop = np.abs(collapsed_reference.hub_series(ops, start, times)[0] - exact).max()
+    assert kernel <= 4 * loop + 1e-15
