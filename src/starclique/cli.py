@@ -31,6 +31,11 @@ from .trace import ProbabilityTrace
 from .verify import run_checks
 
 DEFAULT_ARC_BUDGET = 10**7
+_ARC_BUDGET_HELP = (
+    "most arcs, N(N-1) + 2m, that a full evaluation may hold (default 10^7); "
+    "from the uniform start the oracle keeps one float64 block, 8 bytes per "
+    "clique arc, so the default is about 80 MB; exit code 3 when exceeded"
+)
 _INT64_MAX = 2**63 - 1
 
 _MODES = ("full", "collapsed", "closed", "asymptotic")
@@ -363,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--steps", type=int, help="number of walk steps (>= 1)")
     sim.add_argument("--mode", choices=_MODES, default="collapsed")
     sim.add_argument("--leaf-phase", choices=tuple(_PHASES), default="reverse")
-    sim.add_argument("--arc-budget", type=int, default=DEFAULT_ARC_BUDGET)
+    sim.add_argument(
+        "--arc-budget", type=int, default=DEFAULT_ARC_BUDGET, help=_ARC_BUDGET_HELP
+    )
     sim.set_defaults(func=_cmd_simulate)
 
     spectrum = sub.add_parser("spectrum", help="emit the reduced-walk eigensystem")
@@ -393,7 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--steps", type=int, default=200)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--leaf-phase", choices=tuple(_PHASES), default="reverse")
-    ver.add_argument("--arc-budget", type=int, default=DEFAULT_ARC_BUDGET)
+    ver.add_argument(
+        "--arc-budget",
+        type=int,
+        default=DEFAULT_ARC_BUDGET,
+        help=_ARC_BUDGET_HELP + "; verify also holds its 20 random complex states, "
+        "16 bytes per arc each",
+    )
     ver.add_argument("--out", help="optional JSON report path")
     ver.add_argument("--tol-oracle", type=float, default=1e-10)
     ver.add_argument("--tol-commutation", type=float, default=1e-12)

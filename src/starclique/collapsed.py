@@ -15,6 +15,13 @@ with k < B.  Its rounding error is of the same order as that of stepping
 one step at a time, O(t eps) after t steps: both lie about as far from
 the closed form, and within 1.3e-13 of each other, over 5e4 steps.
 
+Validated step range: the iteration drifts from the closed form
+(``spectral.hub_series``) linearly in t, mostly through the rounded
+entries of the operator it iterates.  Measured at (N, m) = (57, 9), the
+hub series is 3.8e-12 from the closed form after 5e4 steps and 3.1e-11
+after 4e5; the tests hold the gap after 5e4 steps below 1e-11 at (3, 1),
+(57, 9) and (1e4, 100).  A longer run adds about 8e-17 per step.
+
 Class order is fixed everywhere as
 (CLIQUE_INTERIOR, CLIQUE_IN, CLIQUE_OUT, STAR_IN, STAR_OUT);
 vertex-class order for the boundary operator is

@@ -12,6 +12,7 @@ command and by the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,21 @@ def random_walk_states(graph: GluedGraph, count: int, seed: int) -> list[fw.Walk
     return states
 
 
+def _differences(a: fw.WalkState, b: fw.WalkState) -> tuple[np.ndarray, ...]:
+    """Arc-wise differences of two states, block by block (the zero
+    diagonals of the clique blocks add nothing)."""
+    return (a.clique - b.clique, a.star_in - b.star_in, a.star_out - b.star_out)
+
+
+def _norm(*blocks: np.ndarray) -> float:
+    """Euclidean norm over all entries of the blocks, in any memory order."""
+    total = 0.0
+    for block in blocks:
+        flat = block.ravel(order="K")  # a view for either orientation of a block
+        total += float(np.vdot(flat, flat).real)
+    return math.sqrt(total)
+
+
 def conjugated_reduced_operator(
     graph: GluedGraph, leaf_phase: LeafPhase
 ) -> np.ndarray:
@@ -139,50 +155,44 @@ def run_checks(
         )
     )
 
-    # commutation of the step with the class-averaging projection
-    states = random_walk_states(graph, n_random_states, seed)
-    dev = 0.0
-    for state in states:
-        projected = fw.lift(graph, fw.collapse(graph, state))
-        left = fw.arc_amplitudes(fw.step(graph, projected, leaf_phase))
+    # on random unit states: commutation of the step with the class-averaging
+    # projection, unitarity in both leaf phases, and the shift's involution;
+    # np.maximum keeps a NaN deviation, which the builtin max would drop
+    other_phase = LeafPhase.PLAIN if leaf_phase is LeafPhase.REVERSAL else LeafPhase.REVERSAL
+    commutation = unitarity = involution = 0.0
+    for state in random_walk_states(graph, n_random_states, seed):
         stepped = fw.step(graph, state, leaf_phase)
-        right = fw.arc_amplitudes(fw.lift(graph, fw.collapse(graph, stepped)))
-        dev = max(dev, float(np.linalg.norm(left - right)))
+        left = fw.step(graph, fw.lift(graph, fw.collapse(graph, state)), leaf_phase)
+        right = fw.lift(graph, fw.collapse(graph, stepped))
+        commutation = np.maximum(commutation, _norm(*_differences(left, right)))
+        for out in (stepped, fw.step(graph, state, other_phase)):
+            norm = _norm(out.clique, out.star_in, out.star_out)
+            unitarity = np.maximum(unitarity, abs(norm - 1.0))
+        for difference in _differences(fw.shift(graph, fw.shift(graph, state)), state):
+            involution = np.maximum(involution, np.abs(difference).max())
+    commutation, unitarity, involution = map(float, (commutation, unitarity, involution))
     checks.append(
         CheckResult(
             name="projection_commutation",
-            passed=dev < commutation_tol,
-            max_deviation=dev,
+            passed=commutation < commutation_tol,
+            max_deviation=commutation,
             tolerance=commutation_tol,
             detail=f"{n_random_states} random unit states",
         )
     )
-
-    # unitarity of the full step, both leaf phases
-    dev = 0.0
-    for state in states:
-        for phase in (LeafPhase.REVERSAL, LeafPhase.PLAIN):
-            out = fw.arc_amplitudes(fw.step(graph, state, phase))
-            dev = max(dev, abs(float(np.linalg.norm(out)) - 1.0))
     checks.append(
         CheckResult(
             name="unitarity",
-            passed=dev < unitarity_tol,
-            max_deviation=dev,
+            passed=unitarity < unitarity_tol,
+            max_deviation=unitarity,
             tolerance=unitarity_tol,
         )
     )
-
-    # the shift is an exact involution
-    dev = 0.0
-    for state in states:
-        twice = fw.arc_amplitudes(fw.shift(graph, fw.shift(graph, state)))
-        dev = max(dev, float(np.abs(twice - fw.arc_amplitudes(state)).max()))
     checks.append(
         CheckResult(
             name="shift_involution",
-            passed=dev == 0.0,
-            max_deviation=dev,
+            passed=involution == 0.0,
+            max_deviation=involution,
             tolerance=0.0,
             detail="bitwise equality required",
         )

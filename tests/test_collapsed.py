@@ -249,3 +249,14 @@ def test_block_kernel_is_as_accurate_as_step_loop(n, m):
     kernel = np.abs(sc.collapsed.hub_series(ops, start, times)[0] - exact).max()
     loop = np.abs(collapsed_reference.hub_series(ops, start, times)[0] - exact).max()
     assert kernel <= 4 * loop + 1e-15
+
+
+@pytest.mark.parametrize("n,m", [(3, 1), (57, 9), (10**4, 100)])
+def test_reduced_iteration_drift_from_closed_form(n, m):
+    # the iteration drifts linearly in t from the closed form; its stated
+    # range: at most 3.8e-12 after 5e4 steps (measured), held to 1e-11
+    times = np.arange(5 * 10**4 + 1)
+    ops = sc.build_reduced_operators(n, m)
+    got = sc.collapsed.hub_series(ops, sc.collapsed_initial_state(n, m), times)
+    for column, exact in zip(got, sc.spectral.hub_series(n, m, times)):
+        assert np.abs(column - exact).max() < 1e-11

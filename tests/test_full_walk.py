@@ -6,7 +6,7 @@ import pytest
 import arc_table
 import starclique as sc
 from starclique.full_walk import arc_amplitudes, hub_series
-from starclique.graph import LeafPhase
+from starclique.graph import HUB, ArcClass, LeafPhase
 from starclique.verify import random_walk_states
 
 
@@ -92,6 +92,84 @@ def test_step_matches_arc_table_reference(n, m, phase):
             state = sc.step(g, state, phase)
             psi = arc_table.step(table, psi, phase)
         assert np.abs(arc_amplitudes(state) - psi).max() <= 1e-13
+
+
+def _table_series(table, psi, phase, steps):
+    """Hub series of the arc-table walk, stepped one step at a time."""
+    into_hub = table.terminus == HUB
+    clique_in = table.arc_class == ArcClass.CLIQUE_IN
+    star_in = table.arc_class == ArcClass.STAR_IN
+    n, m = table.n_clique, int(star_in.sum())
+    rows, done = [], 0
+    for t in steps:
+        for _ in range(t - done):
+            psi = arc_table.step(table, psi, phase)
+        done = t
+        rows.append((np.vdot(psi[into_hub], psi[into_hub]).real,
+                     psi[clique_in].sum() / math.sqrt(n - 1), psi[star_in].sum() / math.sqrt(m)))
+    return [np.array(column) for column in zip(*rows)]
+
+
+def _assert_series_close(got, want, tol=1e-12):
+    for column, reference in zip(got, want):
+        assert np.abs(column - reference).max() <= tol
+
+
+_KERNEL_SIZES = [(3, 1), (4, 7), (25, 5), (60, 3)]
+
+
+@pytest.mark.parametrize("n,m", _KERNEL_SIZES)
+@pytest.mark.parametrize("phase", [LeafPhase.REVERSAL, LeafPhase.PLAIN])
+def test_series_match_arc_table_from_random_state(n, m, phase):
+    # a complex start: hub_series at sparse times, evolve at every step
+    g = sc.build_graph(n, m)
+    table = arc_table.build(n, m)
+    state = random_walk_states(g, 1, seed=31)[0]
+    times = [0, 1, 2, 7, 30, 31, 60]
+    want = _table_series(table, arc_amplitudes(state), phase, times)
+    _assert_series_close(hub_series(g, state, phase, times), want)
+    trace = sc.evolve(g, state, 60, phase)
+    want = _table_series(table, arc_amplitudes(state), phase, range(61))
+    _assert_series_close((trace.p_hub, trace.psi_clique_in, trace.psi_star_in), want)
+
+
+@pytest.mark.parametrize("n,m", _KERNEL_SIZES)
+@pytest.mark.parametrize("phase", [LeafPhase.REVERSAL, LeafPhase.PLAIN])
+def test_series_match_arc_table_from_odd_time(n, m, phase):
+    # step returns the transposed view of its block: a start at odd time
+    g = sc.build_graph(n, m)
+    table = arc_table.build(n, m)
+    state = sc.step(g, random_walk_states(g, 1, seed=37)[0], phase)
+    assert state.time == 1 and not state.clique.flags.c_contiguous
+    psi = arc_amplitudes(state)
+    times = np.arange(51)
+    want = _table_series(table, psi, phase, times)
+    _assert_series_close(hub_series(g, state, phase, times), want)
+    trace = sc.evolve(g, state, 50, phase)
+    assert trace.times[0] == 1 and trace.times[-1] == 51
+    _assert_series_close((trace.p_hub, trace.psi_clique_in, trace.psi_star_in), want)
+
+
+@pytest.mark.parametrize("n,m", _KERNEL_SIZES)
+@pytest.mark.parametrize("phase", [LeafPhase.REVERSAL, LeafPhase.PLAIN])
+def test_step_on_non_contiguous_input(n, m, phase):
+    # a Fortran-ordered block and strided star vectors, stepped 50 times
+    g = sc.build_graph(n, m)
+    table = arc_table.build(n, m)
+    base = random_walk_states(g, 1, seed=41)[0]
+    stars = np.stack([base.star_in, base.star_out], axis=1)  # columns are strided
+    state = sc.WalkState(np.asfortranarray(base.clique), stars[:, 0], stars[:, 1])
+    assert not state.clique.flags.c_contiguous
+    assert m == 1 or not state.star_in.flags.contiguous
+    before = [a.copy() for a in (state.clique, state.star_in, state.star_out)]
+    psi = arc_amplitudes(state)
+    current = state
+    for _ in range(50):
+        current = sc.step(g, current, phase)
+        psi = arc_table.step(table, psi, phase)
+    assert np.abs(arc_amplitudes(current) - psi).max() <= 1e-12
+    after = (state.clique, state.star_in, state.star_out)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
 
 
 @pytest.mark.parametrize("phase", [LeafPhase.REVERSAL, LeafPhase.PLAIN])
