@@ -23,7 +23,7 @@ from .spectral import (
     _oscillator_coefficients,
     discriminant_angles,
 )
-from .trace import HubSeries
+from .trace import HubSeries, step_counts
 
 
 class Branch(Enum):
@@ -163,7 +163,7 @@ def hub_series(n_clique: int, alpha: float, times: Sequence[int]) -> HubSeries:
     below the transition."""
     c1, k_scale, s_scale = _leading_scales(float(n_clique), alpha)
     theta_1 = discriminant_angles(n_clique, leaves_from_alpha(n_clique, alpha)).theta_1
-    oscillation = np.sin(np.asarray(times, dtype=np.float64) * theta_1)
+    oscillation = np.sin(step_counts(times) * theta_1)
     clique_in = (c1 * (k_scale * oscillation)).astype(np.complex128)
     star_in = (-c1 * (s_scale * oscillation)).astype(np.complex128)
     return 0.5 * oscillation * oscillation, clique_in, star_in

@@ -27,7 +27,7 @@ from . import collapsed as cw
 from . import full_walk as fw
 from . import spectral
 from .graph import LeafPhase, build_graph, leaves_from_alpha
-from .trace import ProbabilityTrace
+from .trace import ProbabilityTrace, trace_metadata
 from .verify import run_checks
 
 DEFAULT_ARC_BUDGET = 10**7
@@ -131,17 +131,6 @@ def _atomic_write(path: str, write) -> None:
             os.unlink(tmp)
 
 
-def _trace_metadata(sizes: Sizes, mode: str, phase: LeafPhase) -> dict[str, str]:
-    return {
-        "n": str(sizes.n),
-        "m": str(sizes.m),
-        "alpha": "" if sizes.alpha is None else repr(float(sizes.alpha)),
-        "mode": mode,
-        "leaf_phase": phase.value,
-        "version": __version__,
-    }
-
-
 def _write_trace(args: argparse.Namespace, trace: ProbabilityTrace, name: str) -> str:
     fmt = args.format or "csv"
     if fmt not in ("csv", "json"):
@@ -180,7 +169,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         series = spectral.EigenbasisEvaluator(sizes.n, sizes.m).hub_series
     else:
         series = partial(asym.hub_series, sizes.n, sizes.alpha)
-    metadata = _trace_metadata(sizes, args.mode, phase)
+    metadata = trace_metadata(sizes.n, sizes.m, args.mode, phase, sizes.alpha)
     trace = ProbabilityTrace.from_series(series, args.steps, metadata)
     path = _write_trace(args, trace, f"trace_n{sizes.n}_m{sizes.m}_{args.mode}")
     print(path)
@@ -194,8 +183,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         raise ConfigError("spectrum reports are JSON only")
     audit = spectral.audit_closed_forms(sizes.n, sizes.m)
     worst = max(audit.report.residuals)
-    if not worst < 1e-10:
-        print(f"spectral residual {worst:.3e} exceeds 1e-10", file=sys.stderr)
+    if not worst < spectral.RESIDUAL_TOLERANCE:
+        print(
+            f"spectral residual {worst:.3e} exceeds {spectral.RESIDUAL_TOLERANCE:g}",
+            file=sys.stderr,
+        )
         return 1
     deviation = audit.report.numeric_deviation
     if not deviation <= spectral.NUMERIC_TOLERANCE:
@@ -314,12 +306,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         steps=args.steps,
         seed=args.seed,
         leaf_phase=_PHASES[args.leaf_phase],
-        full_vs_collapsed_tol=args.tol_oracle,
-        commutation_tol=args.tol_commutation,
-        unitarity_tol=args.tol_unitarity,
-        conjugation_tol=args.tol_conjugation,
-        residual_tol=args.tol_residual,
-        eigenbasis_tol=args.tol_eigenbasis,
         inject_leaf_phase_flip=args.inject_leaf_phase_flip,
     )
     for check in report.checks:
@@ -404,16 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--arc-budget",
         type=int,
         default=DEFAULT_ARC_BUDGET,
-        help=_ARC_BUDGET_HELP + "; verify also holds its 20 random complex states, "
-        "16 bytes per arc each",
+        help=_ARC_BUDGET_HELP + "; verify draws its 20 random complex states one "
+        "at a time and holds about 8 complex copies, 16 bytes per arc each",
     )
     ver.add_argument("--out", help="optional JSON report path")
-    ver.add_argument("--tol-oracle", type=float, default=1e-10)
-    ver.add_argument("--tol-commutation", type=float, default=1e-12)
-    ver.add_argument("--tol-unitarity", type=float, default=1e-12)
-    ver.add_argument("--tol-conjugation", type=float, default=1e-13)
-    ver.add_argument("--tol-residual", type=float, default=1e-10)
-    ver.add_argument("--tol-eigenbasis", type=float, default=1e-10)
     ver.add_argument(
         "--inject-leaf-phase-flip",
         action="store_true",

@@ -37,7 +37,13 @@ from functools import partial
 import numpy as np
 
 from .graph import HUB_BOUND, ArcClass, LeafPhase, class_sizes
-from .trace import HubSeries, ProbabilityTrace, hub_probability
+from .trace import (
+    HubSeries,
+    ProbabilityTrace,
+    hub_probability,
+    step_counts,
+    trace_metadata,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +147,9 @@ def success_probability(state: CollapsedState) -> float:
 def ascending_steps(times) -> np.ndarray:
     """Step counts of an iterative backend's rows, as int64; one pass
     visits them all."""
-    steps = np.asarray(times, dtype=np.int64)
-    if (np.diff(steps, prepend=0) < 0).any():
-        raise ValueError("step counts must be nonnegative and ascending")
+    steps = step_counts(times)
+    if (np.diff(steps) < 0).any():
+        raise ValueError("step counts must be ascending")
     return steps
 
 
@@ -187,11 +193,6 @@ def evolve_collapsed(
     Returns a trace of length ``t_max + 1`` whose row ``t`` holds the state
     after ``t`` applications of the evolution.
     """
-    metadata = {
-        "n": str(ops.n_clique),
-        "m": str(ops.n_leaves),
-        "mode": "collapsed",
-        "leaf_phase": ops.leaf_phase.value,
-    }
+    metadata = trace_metadata(ops.n_clique, ops.n_leaves, "collapsed", ops.leaf_phase)
     series = partial(hub_series, ops, state)
     return ProbabilityTrace.from_series(series, t_max, metadata, state.time)

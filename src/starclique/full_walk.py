@@ -42,7 +42,7 @@ import numpy as np
 
 from .collapsed import CollapsedState, ascending_steps
 from .graph import HUB, ArcClass, GluedGraph, LeafPhase, class_sizes
-from .trace import HubSeries, ProbabilityTrace
+from .trace import HubSeries, ProbabilityTrace, trace_metadata
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,12 +236,7 @@ def evolve(
     """Run ``t_max`` steps, recording the hub probability and the collapsed
     amplitudes on the two hub-bound classes at every step (t_max + 1 rows).
     ``None`` is the uniform start, as in ``hub_series``."""
-    metadata = {
-        "n": str(graph.n_clique),
-        "m": str(graph.n_leaves),
-        "mode": "full",
-        "leaf_phase": leaf_phase.value,
-    }
+    metadata = trace_metadata(graph.n_clique, graph.n_leaves, "full", leaf_phase)
     series = partial(hub_series, graph, state, leaf_phase)
     start = 0 if state is None else state.time
     return ProbabilityTrace.from_series(series, t_max, metadata, start)

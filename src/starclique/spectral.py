@@ -37,14 +37,18 @@ import numpy as np
 
 from .collapsed import build_reduced_operators
 from .graph import HUB_BOUND, ArcClass, LeafPhase, class_sizes
-from .trace import HubSeries, hub_probability
+from .trace import HubSeries, hub_probability, step_counts
 
 #: Relative deviation above which a closed-form component gets flagged.
 FLAG_TOLERANCE = 1e-8
 
+#: Largest residual |E v - lambda v| of an analytic eigenpair against the
+#: float64 step; ``spectrum`` and ``verify`` fail at or beyond it.
+RESIDUAL_TOLERANCE = 1e-10
+
 #: Largest max-abs deviation allowed between a numeric eigenvector and its
-#: analytic pair inside the numeric domain (``verify``'s eigenbasis
-#: tolerance).
+#: analytic pair inside the numeric domain; ``spectrum`` and ``verify``
+#: fail beyond it.
 NUMERIC_TOLERANCE = 1e-10
 
 #: The numeric domain is where NUMERIC_MARGIN times the predicted deviation
@@ -196,16 +200,6 @@ def rotating_eigenvector_closed_form(
 # the analytic eigenbasis
 
 
-def _step_counts(times: Sequence[int]) -> np.ndarray:
-    try:
-        steps = np.asarray(times, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("step counts must be below 2**63") from None
-    if (steps < 0).any():
-        raise ValueError("step counts must be nonnegative")
-    return steps
-
-
 class EigenbasisEvaluator:
     """The phase-reversal walk in its analytic eigenbasis.
 
@@ -296,7 +290,7 @@ class EigenbasisEvaluator:
     def _series(self, times: Sequence[int], columns) -> np.ndarray:
         # the rows (cos(t theta), sin(t theta), (-1)^t) * _weights, written
         # in place, then contracted with the requested columns of _basis
-        steps = _step_counts(times)
+        steps = step_counts(times)
         phases = steps[:, None] * self._thetas
         coefficients = np.empty((len(steps), 5))
         np.cos(phases, out=coefficients[:, :2])
@@ -353,8 +347,6 @@ def closed_form_probability(n_clique: int, n_leaves: int, t: int) -> float:
     O(1) at any clique size: no eigensolver and no iteration, exact to
     about 1e-16 up to N = 1e18 (checked against a 50-digit reference).
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
     return float(hub_series(n_clique, n_leaves, [t])[0][0])
 
 
@@ -725,7 +717,7 @@ def audit_closed_forms(
     ``walk_eigensystem``.
     """
     n, m = n_clique, n_leaves
-    steps = _step_counts(range(201) if times is None else times)
+    steps = step_counts(range(201) if times is None else times)
     report = walk_eigensystem(n, m)
     flags = list(report.formula_flags)
 

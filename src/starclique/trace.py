@@ -15,6 +15,9 @@ from itertools import islice
 
 import numpy as np
 
+from . import __version__
+from .graph import LeafPhase
+
 COLUMNS = (
     "t",
     "p_vstar",
@@ -36,6 +39,34 @@ _JSON_ITEMS = json.JSONEncoder(separators=(",\n   ", ": "))
 #: What every evaluator's ``hub_series(times)`` returns, one row per time:
 #: (p_hub, psi_clique_in, psi_star_in), the columns of a trace.
 HubSeries = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def step_counts(times) -> np.ndarray:
+    """The step counts of a series request as int64, each from 0 to
+    2**63 - 1; every evaluator's ``hub_series`` reads its times here."""
+    try:
+        steps = np.asarray(times, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("step counts must be below 2**63") from None
+    if (steps < 0).any():
+        raise ValueError("step counts must be nonnegative")
+    return steps
+
+
+def trace_metadata(
+    n: int, m: int, mode: str, leaf_phase: LeafPhase, alpha: float | None = None
+) -> dict[str, str]:
+    """The metadata of every trace, in its serialized order: n, m, alpha
+    (empty when the leaf count was given directly), mode, leaf_phase and
+    the package version."""
+    return {
+        "n": str(n),
+        "m": str(m),
+        "alpha": "" if alpha is None else repr(float(alpha)),
+        "mode": mode,
+        "leaf_phase": leaf_phase.value,
+        "version": __version__,
+    }
 
 
 def hub_probability(psi_clique_in, psi_star_in):

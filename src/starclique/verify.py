@@ -6,21 +6,29 @@ the reduced operator against the conjugated full operator, commutation of
 the evolution with the class-averaging projection, unitarity, shift
 involution, the residuals of the analytic eigenpairs, the numeric
 eigenvectors against them inside their domain, and the eigenbasis
-evaluator against plain iteration.  Used by the command-line ``verify``
-command and by the tests.
+evaluator against plain iteration.  Each check is held to one fixed
+tolerance in ``TOLERANCES``.  Used by the command-line ``verify`` command
+and by the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import collapsed as cw
 from . import full_walk as fw
 from .graph import GluedGraph, LeafPhase, build_graph
-from .spectral import EigenbasisEvaluator, discriminant_angles, walk_eigensystem
+from .spectral import (
+    NUMERIC_TOLERANCE,
+    RESIDUAL_TOLERANCE,
+    EigenbasisEvaluator,
+    discriminant_angles,
+    walk_eigensystem,
+)
 
 
 @dataclass(frozen=True)
@@ -64,19 +72,49 @@ class VerificationReport:
         }
 
 
-def random_walk_states(graph: GluedGraph, count: int, seed: int) -> list[fw.WalkState]:
-    """Random unit states on the arc space."""
+#: How many random unit states the random-state checks draw.
+RANDOM_STATES = 20
+
+#: Every check's fixed tolerance, in the order ``run_checks`` reports them.
+#: A check passes when its deviation is below its tolerance; the checks in
+#: INCLUSIVE pass at it too, so shift_involution, a largest magnitude held
+#: to 0, passes only at exactly 0.  A NaN deviation fails every check.
+TOLERANCES = {
+    "full_vs_collapsed_probability": 1e-10,
+    "projection_commutation": 1e-12,
+    "unitarity": 1e-12,
+    "shift_involution": 0.0,
+    "reduced_operator_conjugation": 1e-13,
+    "spectral_residuals": RESIDUAL_TOLERANCE,
+    "numeric_eigenvectors": NUMERIC_TOLERANCE,
+    "eigenbasis_vs_iteration": 1e-10,
+    "discriminant_identities": 1e-12,
+    "collapse_lift_roundtrip": 1e-14,
+}
+INCLUSIVE = frozenset({"shift_involution", "numeric_eigenvectors"})
+
+
+def judge(name: str, deviation: float, detail: str = "") -> CheckResult:
+    """Check ``name``'s result at ``deviation``, held to its tolerance."""
+    deviation, tolerance = float(deviation), TOLERANCES[name]
+    passed = deviation <= tolerance if name in INCLUSIVE else deviation < tolerance
+    return CheckResult(name, passed, deviation, tolerance, detail)
+
+
+def random_walk_states(
+    graph: GluedGraph, count: int, seed: int
+) -> Iterator[fw.WalkState]:
+    """Random unit states on the arc space, drawn one at a time from one
+    generator, so a caller that keeps none holds one state at a time."""
     rng = np.random.default_rng(seed)
     n, m = graph.n_clique, graph.n_leaves
     size = n * n + 2 * m
-    states = []
     for _ in range(count):
         psi = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         clique = psi[: n * n].reshape(n, n)  # a view: the fill writes psi
         np.fill_diagonal(clique, 0.0)
         psi /= np.linalg.norm(psi)
-        states.append(fw.WalkState(clique, psi[n * n : n * n + m], psi[n * n + m :]))
-    return states
+        yield fw.WalkState(clique, psi[n * n : n * n + m], psi[n * n + m :])
 
 
 def _differences(a: fw.WalkState, b: fw.WalkState) -> tuple[np.ndarray, ...]:
@@ -115,52 +153,36 @@ def run_checks(
     steps: int,
     seed: int = 0,
     leaf_phase: LeafPhase = LeafPhase.REVERSAL,
-    n_random_states: int = 20,
-    full_vs_collapsed_tol: float = 1e-10,
-    commutation_tol: float = 1e-12,
-    unitarity_tol: float = 1e-12,
-    conjugation_tol: float = 1e-13,
-    residual_tol: float = 1e-10,
-    eigenbasis_tol: float = 1e-10,
-    roundtrip_tol: float = 1e-14,
     inject_leaf_phase_flip: bool = False,
 ) -> VerificationReport:
-    """Run every cross check on one (N, m) point.
+    """Run every cross check on one (N, m) point, each held to its fixed
+    tolerance in ``TOLERANCES``.
 
     ``inject_leaf_phase_flip`` is a self-test hook: it flips the leaf phase
     in the full evolution only, which must make the cross checks fail.
     """
     graph = build_graph(n_clique, n_leaves)
-    checks: list[CheckResult] = []
-
-    full_phase = leaf_phase
-    if inject_leaf_phase_flip:
-        full_phase = (
-            LeafPhase.PLAIN if leaf_phase is LeafPhase.REVERSAL else LeafPhase.REVERSAL
-        )
+    other_phase = LeafPhase.PLAIN if leaf_phase is LeafPhase.REVERSAL else LeafPhase.REVERSAL
+    full_phase = other_phase if inject_leaf_phase_flip else leaf_phase
 
     # full evolution vs reduced iteration
     full_trace = fw.evolve(graph, None, steps, full_phase)  # the uniform start
     ops = cw.build_reduced_operators(n_clique, n_leaves, leaf_phase)
     start = cw.collapsed_initial_state(n_clique, n_leaves)
     reduced_trace = cw.evolve_collapsed(ops, start, steps)
-    dev = float(np.abs(full_trace.p_hub - reduced_trace.p_hub).max())
-    checks.append(
-        CheckResult(
-            name="full_vs_collapsed_probability",
-            passed=dev < full_vs_collapsed_tol,
-            max_deviation=dev,
-            tolerance=full_vs_collapsed_tol,
-            detail=f"max |p_full - p_collapsed| over {steps + 1} rows",
+    checks = [
+        judge(
+            "full_vs_collapsed_probability",
+            np.abs(full_trace.p_hub - reduced_trace.p_hub).max(),
+            f"max |p_full - p_collapsed| over {steps + 1} rows",
         )
-    )
+    ]
 
     # on random unit states: commutation of the step with the class-averaging
     # projection, unitarity in both leaf phases, and the shift's involution;
     # np.maximum keeps a NaN deviation, which the builtin max would drop
-    other_phase = LeafPhase.PLAIN if leaf_phase is LeafPhase.REVERSAL else LeafPhase.REVERSAL
     commutation = unitarity = involution = 0.0
-    for state in random_walk_states(graph, n_random_states, seed):
+    for state in random_walk_states(graph, RANDOM_STATES, seed):
         stepped = fw.step(graph, state, leaf_phase)
         left = fw.step(graph, fw.lift(graph, fw.collapse(graph, state)), leaf_phase)
         right = fw.lift(graph, fw.collapse(graph, stepped))
@@ -170,69 +192,30 @@ def run_checks(
             unitarity = np.maximum(unitarity, abs(norm - 1.0))
         for difference in _differences(fw.shift(graph, fw.shift(graph, state)), state):
             involution = np.maximum(involution, np.abs(difference).max())
-    commutation, unitarity, involution = map(float, (commutation, unitarity, involution))
-    checks.append(
-        CheckResult(
-            name="projection_commutation",
-            passed=commutation < commutation_tol,
-            max_deviation=commutation,
-            tolerance=commutation_tol,
-            detail=f"{n_random_states} random unit states",
-        )
-    )
-    checks.append(
-        CheckResult(
-            name="unitarity",
-            passed=unitarity < unitarity_tol,
-            max_deviation=unitarity,
-            tolerance=unitarity_tol,
-        )
-    )
-    checks.append(
-        CheckResult(
-            name="shift_involution",
-            passed=involution == 0.0,
-            max_deviation=involution,
-            tolerance=0.0,
-            detail="bitwise equality required",
-        )
-    )
+    checks += [
+        judge("projection_commutation", commutation, f"{RANDOM_STATES} random unit states"),
+        judge("unitarity", unitarity),
+        judge("shift_involution", involution, "bitwise equality required"),
+    ]
 
     # closed-form reduced operator vs conjugated full operator
     conjugated = conjugated_reduced_operator(graph, leaf_phase)
-    dev = float(np.abs(conjugated - ops.evolution).max())
     checks.append(
-        CheckResult(
-            name="reduced_operator_conjugation",
-            passed=dev < conjugation_tol,
-            max_deviation=dev,
-            tolerance=conjugation_tol,
-        )
+        judge("reduced_operator_conjugation", np.abs(conjugated - ops.evolution).max())
     )
 
     # the analytic eigenpairs (reversal spectrum): residuals, and the
     # numeric eigenvectors inside their domain
     spectrum = walk_eigensystem(n_clique, n_leaves)
-    dev = max(spectrum.residuals)
-    checks.append(
-        CheckResult(
-            name="spectral_residuals",
-            passed=dev < residual_tol,
-            max_deviation=dev,
-            tolerance=residual_tol,
-        )
-    )
-    dev = spectrum.numeric_deviation
     checked = sum(pair.in_domain for pair in spectrum.eigenpairs)
-    checks.append(
-        CheckResult(
-            name="numeric_eigenvectors",
-            passed=dev <= eigenbasis_tol,
-            max_deviation=dev,
-            tolerance=eigenbasis_tol,
-            detail=f"{checked} of 5 analytic pairs inside the numeric domain",
-        )
-    )
+    checks += [
+        judge("spectral_residuals", max(spectrum.residuals)),
+        judge(
+            "numeric_eigenvectors",
+            spectrum.numeric_deviation,
+            f"{checked} of 5 analytic pairs inside the numeric domain",
+        ),
+    ]
 
     times = np.arange(steps + 1)
     reversal_p = reduced_trace.p_hub
@@ -240,14 +223,11 @@ def run_checks(
         reversal = cw.build_reduced_operators(n_clique, n_leaves, LeafPhase.REVERSAL)
         reversal_p = cw.hub_series(reversal, start, times)[0]
     evaluator = EigenbasisEvaluator(n_clique, n_leaves)
-    dev = float(np.abs(evaluator.hub_series(times)[0] - reversal_p).max())
     checks.append(
-        CheckResult(
-            name="eigenbasis_vs_iteration",
-            passed=dev < eigenbasis_tol,
-            max_deviation=dev,
-            tolerance=eigenbasis_tol,
-            detail="reversal-mode reduced trace vs spectral evaluator",
+        judge(
+            "eigenbasis_vs_iteration",
+            np.abs(evaluator.hub_series(times)[0] - reversal_p).max(),
+            "reversal-mode reduced trace vs spectral evaluator",
         )
     )
 
@@ -257,14 +237,11 @@ def run_checks(
     prod_dev = abs(
         ang.cos_theta_1 * ang.cos_theta_2 + 1.0 / (n_clique + n_leaves - 1)
     )
-    dev = max(sum_dev, prod_dev)
     checks.append(
-        CheckResult(
-            name="discriminant_identities",
-            passed=dev < 1e-12,
-            max_deviation=dev,
-            tolerance=1e-12,
-            detail="root sum (N-2)/(N-1); root product -1/(N+m-1)",
+        judge(
+            "discriminant_identities",
+            max(sum_dev, prod_dev),
+            "root sum (N-2)/(N-1); root product -1/(N+m-1)",
         )
     )
 
@@ -275,14 +252,7 @@ def run_checks(
         state = cw.CollapsedState(amplitudes=basis[:, j].copy())
         back = fw.collapse(graph, fw.lift(graph, state)).amplitudes
         dev = max(dev, float(np.abs(back - basis[:, j]).max()))
-    checks.append(
-        CheckResult(
-            name="collapse_lift_roundtrip",
-            passed=dev < roundtrip_tol,
-            max_deviation=dev,
-            tolerance=roundtrip_tol,
-        )
-    )
+    checks.append(judge("collapse_lift_roundtrip", dev))
 
     return VerificationReport(
         n_clique=n_clique,

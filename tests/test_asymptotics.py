@@ -147,3 +147,26 @@ def test_exponent_fit_rejects_degenerate_grid():
         sc.exponent_fit(0.5, [1024])
     with pytest.raises(ValueError):
         sc.exponent_fit(0.5, [1024, 1024])
+
+
+@pytest.mark.parametrize("bad", [[-3], [5, -1], [2**63]])
+def test_asymptotic_series_rejects_bad_step_counts(bad):
+    # the validator every evaluator shares: 0 <= t < 2**63
+    with pytest.raises(ValueError, match="^step counts must be"):
+        sc.asymptotics.hub_series(100, 0.5, bad)
+
+
+@pytest.mark.parametrize("t", [-1, 2**63])
+def test_probability_approx_rejects_bad_step_count(t):
+    with pytest.raises(ValueError, match="^step counts must be"):
+        sc.probability_approx(100, 0.5, t)
+
+
+def test_asymptotic_series_reads_int64_step_counts_exactly():
+    # below 2**53 an int64 count converts to float exactly: same rows as
+    # evaluating at the float times
+    times = np.array([0, 1, 7, 12345, 2**52 + 1], dtype=np.int64)
+    theta_1 = sc.discriminant_angles(100, 10).theta_1
+    p = sc.asymptotics.hub_series(100, 0.5, times)[0]
+    oscillation = np.sin(times.astype(np.float64) * theta_1)
+    assert np.array_equal(p, 0.5 * oscillation * oscillation)

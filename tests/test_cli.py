@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -395,3 +396,34 @@ def test_out_dir_environment_variable(tmp_path, monkeypatch):
     assert main(["simulate", "--n", "10", "--m", "2", "--steps", "5",
                  "--out", "env_trace.csv"]) == 0
     assert (tmp_path / "env_trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag",
+    ["--tol-oracle", "--tol-commutation", "--tol-unitarity", "--tol-conjugation",
+     "--tol-residual", "--tol-eigenbasis"],
+)
+def test_verify_cannot_loosen_its_own_gate(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "10", "--m", "3", "--steps", "20", flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_spectral_residual_fails_spectrum_and_verify(tmp_path, capsys, monkeypatch):
+    build = sc.spectral.build_reduced_operators
+
+    def perturbed(n, m, phase):
+        ops = build(n, m, phase)
+        evolution = ops.evolution.copy()
+        evolution[0, 0] += 1e-6
+        return dataclasses.replace(ops, evolution=evolution)
+
+    monkeypatch.setattr(sc.spectral, "build_reduced_operators", perturbed)
+    out = tmp_path / "spectrum.json"
+    assert main(["spectrum", "--n", "100", "--m", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spectral residual ") and err.endswith(" exceeds 1e-10\n")
+    assert not out.exists()
+    assert main(["verify", "--n", "10", "--m", "3", "--steps", "20"]) == 1
+    assert "FAIL spectral_residuals" in capsys.readouterr().out

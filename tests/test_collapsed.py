@@ -260,3 +260,10 @@ def test_reduced_iteration_drift_from_closed_form(n, m):
     got = sc.collapsed.hub_series(ops, sc.collapsed_initial_state(n, m), times)
     for column, exact in zip(got, sc.spectral.hub_series(n, m, times)):
         assert np.abs(column - exact).max() < 1e-11
+
+
+@pytest.mark.parametrize("bad", [[-1], [2**63], [4, 3]])
+def test_reduced_series_rejects_bad_step_counts(bad):
+    ops = sc.build_reduced_operators(5, 2)
+    with pytest.raises(ValueError, match="^step counts must be"):
+        sc.collapsed.hub_series(ops, sc.collapsed_initial_state(5, 2), bad)

@@ -68,7 +68,7 @@ def test_step_preserves_norm(n, m, phase):
 
 def test_shift_involution_is_exact():
     g = sc.build_graph(11, 4)
-    state = random_walk_states(g, 1, seed=3)[0]
+    state = next(random_walk_states(g, 1, seed=3))
     twice = sc.shift(g, sc.shift(g, state))
     assert np.array_equal(arc_amplitudes(twice), arc_amplitudes(state))
 
@@ -124,7 +124,7 @@ def test_series_match_arc_table_from_random_state(n, m, phase):
     # a complex start: hub_series at sparse times, evolve at every step
     g = sc.build_graph(n, m)
     table = arc_table.build(n, m)
-    state = random_walk_states(g, 1, seed=31)[0]
+    state = next(random_walk_states(g, 1, seed=31))
     times = [0, 1, 2, 7, 30, 31, 60]
     want = _table_series(table, arc_amplitudes(state), phase, times)
     _assert_series_close(hub_series(g, state, phase, times), want)
@@ -139,7 +139,7 @@ def test_series_match_arc_table_from_odd_time(n, m, phase):
     # step returns the transposed view of its block: a start at odd time
     g = sc.build_graph(n, m)
     table = arc_table.build(n, m)
-    state = sc.step(g, random_walk_states(g, 1, seed=37)[0], phase)
+    state = sc.step(g, next(random_walk_states(g, 1, seed=37)), phase)
     assert state.time == 1 and not state.clique.flags.c_contiguous
     psi = arc_amplitudes(state)
     times = np.arange(51)
@@ -156,7 +156,7 @@ def test_step_on_non_contiguous_input(n, m, phase):
     # a Fortran-ordered block and strided star vectors, stepped 50 times
     g = sc.build_graph(n, m)
     table = arc_table.build(n, m)
-    base = random_walk_states(g, 1, seed=41)[0]
+    base = next(random_walk_states(g, 1, seed=41))
     stars = np.stack([base.star_in, base.star_out], axis=1)  # columns are strided
     state = sc.WalkState(np.asfortranarray(base.clique), stars[:, 0], stars[:, 1])
     assert not state.clique.flags.c_contiguous
@@ -176,7 +176,7 @@ def test_step_on_non_contiguous_input(n, m, phase):
 def test_walks_leave_the_input_state_untouched(phase):
     g = sc.build_graph(9, 4)
     # a complex128 state and the float64 uniform start
-    for state in (random_walk_states(g, 1, seed=21)[0], sc.initial_state(g)):
+    for state in (next(random_walk_states(g, 1, seed=21)), sc.initial_state(g)):
         before = [a.copy() for a in (state.clique, state.star_in, state.star_out)]
         hub_series(g, state, phase, [0, 3, 10])
         sc.evolve(g, state, 10, phase)
@@ -263,7 +263,7 @@ def test_real_dynamics_from_uniform_state():
 
 def test_vertex_probability_partitions_unity():
     g = sc.build_graph(9, 4)
-    state = random_walk_states(g, 1, seed=11)[0]
+    state = next(random_walk_states(g, 1, seed=11))
     total = sum(sc.vertex_probability(g, state, v) for v in range(g.n_vertices))
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -317,7 +317,7 @@ def test_lift_collapse_fixes_initial_state():
 
 def test_lift_collapse_is_idempotent():
     g = sc.build_graph(7, 3)
-    state = random_walk_states(g, 1, seed=9)[0]
+    state = next(random_walk_states(g, 1, seed=9))
     once = sc.lift(g, sc.collapse(g, state))
     twice = sc.lift(g, sc.collapse(g, once))
     assert np.abs(arc_amplitudes(twice) - arc_amplitudes(once)).max() < 1e-14

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import trace_reference
 
-from starclique.trace import _BLOCK, COLUMNS, ProbabilityTrace
+import starclique as sc
+from starclique.trace import _BLOCK, COLUMNS, ProbabilityTrace, trace_metadata
 
 
 def _awkward_trace() -> ProbabilityTrace:
@@ -196,3 +197,18 @@ def test_rejects_wrong_header():
         ProbabilityTrace.from_csv(io.StringIO("a,b\n1,2\n"))
     with pytest.raises(ValueError):
         ProbabilityTrace.from_csv(io.StringIO("# n=3\n"))
+
+
+def test_library_and_cli_traces_share_one_metadata_builder():
+    keys = ["n", "m", "alpha", "mode", "leaf_phase", "version"]
+    graph = sc.build_graph(7, 2)
+    full = sc.evolve(graph, None, 3, sc.LeafPhase.PLAIN)
+    ops = sc.build_reduced_operators(7, 2)
+    reduced = sc.evolve_collapsed(ops, sc.collapsed_initial_state(7, 2), 3)
+    assert full.metadata == trace_metadata(7, 2, "full", sc.LeafPhase.PLAIN)
+    assert reduced.metadata == trace_metadata(7, 2, "collapsed", sc.LeafPhase.REVERSAL)
+    for trace in (full, reduced):
+        assert list(trace.metadata) == keys
+        assert trace.metadata["alpha"] == ""
+        assert trace.metadata["version"] == sc.__version__
+    assert trace_metadata(7, 2, "closed", sc.LeafPhase.REVERSAL, 0.5)["alpha"] == "0.5"

@@ -1,4 +1,8 @@
-"""The random-state checks of ``verify.run_checks`` catch faulty steps."""
+"""The random-state checks of ``verify.run_checks`` catch faulty steps, and
+every check is held to its one fixed tolerance."""
+
+import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,3 +89,86 @@ def test_shift_involution_reads_zero(monkeypatch, real):
     assert check.passed and check.max_deviation == 0.0
     assert _check(report, "unitarity").passed
     assert _check(report, "projection_commutation").passed
+
+
+# every check's name and tolerance, in report order, as run_checks(20, 4, 30,
+# seed=3) reported them when the thresholds were still keyword arguments
+_PARENT_CHECKS = [
+    ("full_vs_collapsed_probability", 1e-10),
+    ("projection_commutation", 1e-12),
+    ("unitarity", 1e-12),
+    ("shift_involution", 0.0),
+    ("reduced_operator_conjugation", 1e-13),
+    ("spectral_residuals", 1e-10),
+    ("numeric_eigenvectors", 1e-10),
+    ("eigenbasis_vs_iteration", 1e-10),
+    ("discriminant_identities", 1e-12),
+    ("collapse_lift_roundtrip", 1e-14),
+]
+
+
+def test_report_names_order_and_tolerances_are_fixed():
+    report = verify.run_checks(20, 4, 30, seed=3)
+    assert [(c.name, c.tolerance) for c in report.checks] == _PARENT_CHECKS
+    assert list(verify.TOLERANCES.items()) == _PARENT_CHECKS
+    assert report.passed
+
+
+def test_run_checks_takes_no_threshold():
+    params = list(inspect.signature(verify.run_checks).parameters)
+    assert params == [
+        "n_clique", "n_leaves", "steps", "seed", "leaf_phase", "inject_leaf_phase_flip"
+    ]
+
+
+def test_spectrum_and_verify_share_the_spectral_gates():
+    assert verify.TOLERANCES["spectral_residuals"] is sc.spectral.RESIDUAL_TOLERANCE
+    assert verify.TOLERANCES["numeric_eigenvectors"] is sc.spectral.NUMERIC_TOLERANCE
+
+
+def test_pass_rule_at_the_tolerance():
+    # a deviation equal to its tolerance fails a strict check ...
+    assert not verify.judge("unitarity", 1e-12).passed
+    assert not verify.judge("spectral_residuals", sc.spectral.RESIDUAL_TOLERANCE).passed
+    # ... and passes the numeric-eigenvector check, as in ``spectrum``
+    assert verify.judge("numeric_eigenvectors", sc.spectral.NUMERIC_TOLERANCE).passed
+    assert not verify.judge("numeric_eigenvectors", np.nextafter(1e-10, 1.0)).passed
+    # the shift's involution needs exactly 0
+    assert verify.judge("shift_involution", 0.0).passed
+    assert not verify.judge("shift_involution", 5e-324).passed
+
+
+@pytest.mark.parametrize("name", list(verify.TOLERANCES))
+def test_nan_deviation_fails_every_check(name):
+    check = verify.judge(name, float("nan"), "detail")
+    assert not check.passed and np.isnan(check.max_deviation)
+    assert check.detail == "detail"
+
+
+def test_random_states_are_drawn_one_at_a_time():
+    n = 200
+    verify.run_checks(20, 3, 5)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        verify.run_checks(n, 17, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 8 complex N x N blocks; all 20 states held at once take 26
+    assert peak <= 12 * 16 * n * n
+
+
+def test_random_states_are_the_listed_draws():
+    # the states, in order, of drawing every state up front from one generator
+    g = sc.build_graph(9, 4)
+    rng = np.random.default_rng(5)
+    size = 81 + 8
+    drawn = verify.random_walk_states(g, 3, seed=5)
+    for _ in range(3):
+        psi = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        np.fill_diagonal(psi[:81].reshape(9, 9), 0.0)
+        psi /= np.linalg.norm(psi)
+        state = next(drawn)
+        got = np.concatenate([state.clique.ravel(), state.star_in, state.star_out])
+        assert np.array_equal(got, psi)
+    assert next(drawn, None) is None
