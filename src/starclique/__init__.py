@@ -9,7 +9,6 @@ results (optimal running time, phase transition of the search speed).
 __version__ = "0.1.0"
 
 from .asymptotics import (
-    AsymptoticRegime,
     Branch,
     CoefficientEstimates,
     ExponentFit,
@@ -27,7 +26,6 @@ from .collapsed import (
     build_reduced_operators,
     collapsed_initial_state,
     evolve_collapsed,
-    success_probability,
 )
 from .full_walk import (
     WalkState,
@@ -66,7 +64,6 @@ __all__ = [
     "__version__",
     "AmplitudePair",
     "ArcClass",
-    "AsymptoticRegime",
     "Branch",
     "ClosedFormAudit",
     "CoefficientEstimates",
@@ -104,7 +101,6 @@ __all__ = [
     "run_checks",
     "shift",
     "step",
-    "success_probability",
     "theta1_approx",
     "vertex_probability",
     "walk_eigensystem",

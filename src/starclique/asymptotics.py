@@ -31,35 +31,28 @@ class Branch(Enum):
     CRITICAL = "critical"  # alpha = 1
     SUPER = "super"        # alpha > 1
 
-
-@dataclass(frozen=True)
-class AsymptoticRegime:
-    alpha: float
-    branch: Branch
-
     @classmethod
-    def from_alpha(cls, alpha: float) -> "AsymptoticRegime":
+    def of(cls, alpha: float) -> "Branch":
+        """The regime of leaf exponent ``alpha``, the one split at alpha = 1
+        that every branch formula reads.  A NaN compares false with every
+        bound and falls in SUPER; a negative alpha is an error."""
         if alpha < 0:
             raise ValueError(f"alpha must be nonnegative, got {alpha}")
         if alpha < 1:
-            branch = Branch.SUB
-        elif alpha == 1:
-            branch = Branch.CRITICAL
-        else:
-            branch = Branch.SUPER
-        return cls(alpha=alpha, branch=branch)
+            return cls.SUB
+        return cls.CRITICAL if alpha == 1 else cls.SUPER
 
 
 def cos_theta1_approx(n_clique: int, alpha: float) -> float:
     """Leading-order estimate of cos(theta_1) per branch:
     1 - N^(alpha-2), 1 - 1/(2N), 1 - 1/N."""
-    regime = AsymptoticRegime.from_alpha(alpha)
+    branch = Branch.of(alpha)
     if n_clique < 3:
         raise ValueError(f"n_clique must be at least 3, got {n_clique}")
     n = float(n_clique)
-    if regime.branch is Branch.SUB:
+    if branch is Branch.SUB:
         return 1.0 - n ** (alpha - 2.0)
-    if regime.branch is Branch.CRITICAL:
+    if branch is Branch.CRITICAL:
         return 1.0 - 0.5 / n
     return 1.0 - 1.0 / n
 
@@ -92,13 +85,13 @@ def optimal_time_branch(n_clique: int, alpha: float) -> int:
     floor(pi/(2 sqrt(2)) N^((2-alpha)/2)) below the transition,
     floor(pi/2 sqrt(N)) at it, floor(pi/(2 sqrt(2)) sqrt(N)) above it.
     """
-    regime = AsymptoticRegime.from_alpha(alpha)
+    branch = Branch.of(alpha)
     if n_clique < 3:
         raise ValueError(f"n_clique must be at least 3, got {n_clique}")
     n = float(n_clique)
-    if regime.branch is Branch.SUB:
+    if branch is Branch.SUB:
         return int(math.floor(math.pi / (2.0 * math.sqrt(2.0)) * n ** ((2.0 - alpha) / 2.0)))
-    if regime.branch is Branch.CRITICAL:
+    if branch is Branch.CRITICAL:
         return int(math.floor(math.pi / 2.0 * math.sqrt(n)))
     return int(math.floor(math.pi / (2.0 * math.sqrt(2.0)) * math.sqrt(n)))
 
@@ -125,7 +118,7 @@ class CoefficientEstimates:
 
 def _leading_scales(n: float, alpha: float) -> tuple[float, ...]:
     """Branch leading terms (c1, k1 / sin(t theta_1), s1 / sin(t theta_1))."""
-    branch = AsymptoticRegime.from_alpha(alpha).branch
+    branch = Branch.of(alpha)
     if branch is Branch.SUB:
         c1 = n ** ((1.0 - alpha) / 2.0) / math.sqrt(2.0)
         return c1, n ** (alpha - 1.0), n ** ((alpha - 1.0) / 2.0)
@@ -136,7 +129,7 @@ def _leading_scales(n: float, alpha: float) -> tuple[float, ...]:
 
 def coefficient_estimates(n_clique: int, alpha: float, t: int) -> CoefficientEstimates:
     """Leading-order c1, k1, s1 at time t and o(1) bounds for the rest."""
-    regime = AsymptoticRegime.from_alpha(alpha)
+    branch = Branch.of(alpha)
     m = leaves_from_alpha(n_clique, alpha)
     ang = discriminant_angles(n_clique, m)
     oscillation = math.sin(t * ang.theta_1)
@@ -146,7 +139,7 @@ def coefficient_estimates(n_clique: int, alpha: float, t: int) -> CoefficientEst
     k2_sup = abs(ang.cos_theta_2) + (n_clique - 1) * hub_weight
     s2_sup = math.sqrt(m * (n_clique - 1)) * hub_weight
     return CoefficientEstimates(
-        branch=regime.branch,
+        branch=branch,
         c1=c1,
         k1=k_scale * oscillation,
         s1=s_scale * oscillation,
@@ -186,10 +179,8 @@ class ExponentFit:
 
 
 def theory_exponent(alpha: float) -> float:
-    """(2 - alpha)/2 for alpha <= 1 (the transition point included), else 1/2."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    return (2.0 - alpha) / 2.0 if alpha <= 1.0 else 0.5
+    """(2 - alpha)/2 up to the transition (where both forms give 1/2), else 1/2."""
+    return 0.5 if Branch.of(alpha) is Branch.SUPER else (2.0 - alpha) / 2.0
 
 
 def exponent_fit(alpha: float, n_values: Sequence[int]) -> ExponentFit:

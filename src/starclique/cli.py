@@ -54,6 +54,10 @@ class OutputError(Exception):
     """Output file cannot be written; maps to exit code 4."""
 
 
+#: Exit code of each failure that ``main`` reports in one line.
+_EXIT_CODES = {ConfigError: 2, ValueError: 2, ArcBudgetError: 3, OutputError: 4}
+
+
 @dataclass(frozen=True)
 class Sizes:
     n: int
@@ -131,10 +135,16 @@ def _atomic_write(path: str, write) -> None:
             os.unlink(tmp)
 
 
+def _write_json(path: str, payload) -> None:
+    """Write ``payload`` as JSON, indented by one, with a final newline."""
+    def write(stream: io.TextIOBase) -> None:
+        json.dump(payload, stream, indent=1)
+        stream.write("\n")
+    _atomic_write(path, write)
+
+
 def _write_trace(args: argparse.Namespace, trace: ProbabilityTrace, name: str) -> str:
     fmt = args.format or "csv"
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown format {fmt!r}")
     path = _out_path(args, f"{name}.{fmt}")
     _atomic_write(path, trace.to_csv if fmt == "csv" else trace.to_json)
     return path
@@ -148,8 +158,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     sizes = _resolve_sizes(args)
     if args.steps is None or args.steps < 1:
         raise ConfigError("--steps must be at least 1")
-    if args.mode not in _MODES:
-        raise ConfigError(f"unknown mode {args.mode!r}")
     phase = _PHASES[args.leaf_phase]
     if args.mode in ("closed", "asymptotic") and phase is not LeafPhase.REVERSAL:
         raise ConfigError(f"{args.mode} mode evaluates the phase-reversal walk only")
@@ -204,7 +212,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "closed_form_audit": audit.to_json_dict(),
     }
     path = _out_path(args, f"spectrum_n{sizes.n}_m{sizes.m}.json")
-    _atomic_write(path, lambda s: (json.dump(payload, s, indent=1), s.write("\n")))
+    _write_json(path, payload)
     print(path)
     return 0
 
@@ -229,7 +237,7 @@ def _cmd_optimal_time(args: argparse.Namespace) -> int:
         print(f"{key}={value}")
     if args.out:
         path = _out_path(args, "")
-        _atomic_write(path, lambda s: (json.dump(record, s, indent=1), s.write("\n")))
+        _write_json(path, record)
     return 0
 
 
@@ -257,18 +265,9 @@ def _cmd_phase_diagram(args: argparse.Namespace) -> int:
     fits = [asym.exponent_fit(alpha, n_grid) for alpha in alphas]
 
     fmt = args.format or "csv"
-    if fmt == "csv":
-        def write(stream: io.TextIOBase) -> None:
-            stream.write(f"# version={__version__}\n")
-            stream.write(f"# n_grid={','.join(str(n) for n in n_grid)}\n")
-            stream.write("alpha,fitted_exponent,theory_exponent,fit_residual\n")
-            for fit in fits:
-                stream.write(
-                    f"{fit.alpha:.17g},{fit.fitted_exponent:.17g},"
-                    f"{fit.theory_exponent:.17g},{fit.fit_residual:.17g}\n"
-                )
-    elif fmt == "json":
-        payload = {
+    path = _out_path(args, f"phase_diagram.{fmt}")
+    if fmt == "json":
+        _write_json(path, {
             "version": __version__,
             "n_grid": list(n_grid),
             "rows": [
@@ -281,16 +280,18 @@ def _cmd_phase_diagram(args: argparse.Namespace) -> int:
                 }
                 for fit in fits
             ],
-        }
-
-        def write(stream: io.TextIOBase) -> None:
-            json.dump(payload, stream, indent=1)
-            stream.write("\n")
+        })
     else:
-        raise ConfigError(f"unknown format {fmt!r}")
-
-    path = _out_path(args, f"phase_diagram.{fmt}")
-    _atomic_write(path, write)
+        def write(stream: io.TextIOBase) -> None:
+            stream.write(f"# version={__version__}\n")
+            stream.write(f"# n_grid={','.join(str(n) for n in n_grid)}\n")
+            stream.write("alpha,fitted_exponent,theory_exponent,fit_residual\n")
+            for fit in fits:
+                stream.write(
+                    f"{fit.alpha:.17g},{fit.fitted_exponent:.17g},"
+                    f"{fit.theory_exponent:.17g},{fit.fit_residual:.17g}\n"
+                )
+        _atomic_write(path, write)
     print(path)
     return 0
 
@@ -316,9 +317,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     if args.out:
         path = _out_path(args, "")
-        _atomic_write(
-            path, lambda s: (json.dump(report.to_json_dict(), s, indent=1), s.write("\n"))
-        )
+        _write_json(path, report.to_json_dict())
     return 0 if report.passed else 1
 
 
@@ -405,22 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArcBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OutputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from .graph import HUB_BOUND, ArcClass, LeafPhase, class_sizes
+from .graph import HUB_BOUND, INVERSE_CLASS, ArcClass, LeafPhase, class_sizes
 from .trace import (
     HubSeries,
     ProbabilityTrace,
@@ -80,17 +80,9 @@ class ReducedOperators:
 
 _BLOCK = 256  # steps per stacked product of step powers in hub_series
 
-#: Arc-inversion permutation on the five classes.
-_SHIFT = np.array(
-    [
-        [1, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0],
-        [0, 1, 0, 0, 0],
-        [0, 0, 0, 0, 1],
-        [0, 0, 0, 1, 0],
-    ],
-    dtype=np.float64,
-)
+#: Arc-inversion permutation on the five classes: row c picks class
+#: INVERSE_CLASS[c].
+_SHIFT = np.eye(5)[list(INVERSE_CLASS)]
 
 
 def build_reduced_operators(
@@ -136,12 +128,6 @@ def collapsed_initial_state(n_clique: int, n_leaves: int) -> CollapsedState:
     amplitudes[ArcClass.CLIQUE_IN] = 1.0 / math.sqrt(n)
     amplitudes[ArcClass.CLIQUE_OUT] = 1.0 / math.sqrt(n)
     return CollapsedState(amplitudes=amplitudes, time=0)
-
-
-def success_probability(state: CollapsedState) -> float:
-    """Probability of measuring the hub: the squared mass arriving there."""
-    amps = state.amplitudes
-    return float(hub_probability(amps[ArcClass.CLIQUE_IN], amps[ArcClass.STAR_IN]))
 
 
 def ascending_steps(times) -> np.ndarray:

@@ -69,13 +69,6 @@ def initial_state(graph: GluedGraph) -> WalkState:
     return WalkState(clique, np.zeros(m), np.zeros(m))
 
 
-def arc_amplitudes(state: WalkState) -> np.ndarray:
-    """Every arc amplitude in one vector: the clique arcs in origin-major,
-    terminus-minor order, then the leaf-to-hub and the hub-to-leaf arcs."""
-    off_diagonal = ~np.eye(state.clique.shape[0], dtype=bool)
-    return np.concatenate([state.clique[off_diagonal], state.star_in, state.star_out])
-
-
 def shift(graph: GluedGraph, state: WalkState) -> WalkState:
     """Arc-inversion shift: the transposed block, the star vectors swapped.
     Applying it twice returns the input exactly."""

@@ -65,8 +65,8 @@ class LeafPhase(Enum):
 class GluedGraph:
     """Sizes of the glued graph.
 
-    Vertex ids: hub = 0, ordinary clique vertices 1..n_clique-1, then the
-    leaves.  Safe for concurrent shared reads.
+    Vertex ids: the hub is ``HUB`` = 0, ordinary clique vertices are
+    1..n_clique-1, then the leaves.  Safe for concurrent shared reads.
     """
 
     n_clique: int
@@ -76,10 +76,6 @@ class GluedGraph:
     @property
     def n_vertices(self) -> int:
         return self.n_clique + self.n_leaves
-
-    @property
-    def hub(self) -> int:
-        return HUB
 
 
 def _validate_sizes(n_clique: int, n_leaves: int) -> None:

@@ -303,36 +303,12 @@ class EigenbasisEvaluator:
         """Collapsed states for every requested time, shape (len(times), 5)."""
         return self._series(times, slice(None))
 
-    def state(self, t: int) -> np.ndarray:
-        """Collapsed state after t steps, shape (5,)."""
-        return self.state_series([t])[0]
-
     def hub_series(self, times: Sequence[int]) -> HubSeries:
         """Hub series at every requested time, from the two hub-bound
         components alone."""
         hub = self._series(times, HUB_BOUND)
         clique_in, star_in = hub[:, 0], hub[:, 1]
         return hub_probability(clique_in, star_in), clique_in, star_in
-
-    def amplitudes(self, t: int) -> AmplitudePair:
-        psi = self.state(t)
-        return AmplitudePair(
-            psi_clique_in=complex(psi[ArcClass.CLIQUE_IN]),
-            psi_star_in=complex(psi[ArcClass.STAR_IN]),
-        )
-
-    def probability(self, t: int) -> float:
-        return float(self.hub_series([t])[0][0])
-
-    def flip_contribution(self, t):
-        """The -1 eigenpair's share of the two hub-bound amplitudes after t
-        steps; t may also be an array of step counts."""
-        share = (1 - 2 * (np.asarray(t) % 2)) * self._weights[4]
-        flip = self._basis[4]
-        return (
-            share * flip[ArcClass.CLIQUE_IN] + 0j,
-            share * flip[ArcClass.STAR_IN] + 0j,
-        )
 
 
 def hub_series(n_clique: int, n_leaves: int, times: Sequence[int]) -> HubSeries:
@@ -585,12 +561,12 @@ class OscillatorCoefficients:
 
 @dataclass(frozen=True, eq=False)
 class AmplitudePair:
-    """The two collapsed amplitudes feeding the hub probability at a time t,
-    with the oscillator coefficients when they come from the expansion."""
+    """The two hub-bound amplitudes of the oscillator expansion at a time t,
+    with the coefficients they come from."""
 
     psi_clique_in: complex
     psi_star_in: complex
-    coefficients: OscillatorCoefficients | None = None
+    coefficients: OscillatorCoefficients
 
     @property
     def probability(self) -> float:
@@ -642,23 +618,18 @@ def _expansion(coeff: OscillatorCoefficients, t):
     return clique_in, star_in
 
 
-def closed_form_amplitudes(
-    n_clique: int,
-    n_leaves: int,
-    t: int,
-    second_offset: float = TABULATED_SECOND_OFFSET,
-) -> AmplitudePair:
+def closed_form_amplitudes(n_clique: int, n_leaves: int, t: int) -> AmplitudePair:
     """Hub-bound amplitudes from the closed-form oscillator expansion.
 
-    With the tabulated second phase offset (the default) this is accurate
-    up to o(1); passing DERIVED_SECOND_OFFSET makes it agree with the
-    eigenbasis evaluator to machine precision.  Acceptance-grade answers
-    should come from ``EigenbasisEvaluator`` either way.
+    With its tabulated second phase offset this is accurate only up to
+    o(1); ``audit_closed_forms`` reports how far it and the derived offset
+    lie from the eigenbasis.  Acceptance-grade answers come from
+    ``EigenbasisEvaluator``.
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     ang = discriminant_angles(n_clique, n_leaves)
-    coeff = _oscillator_coefficients(n_clique, n_leaves, ang, t, second_offset)
+    coeff = _oscillator_coefficients(n_clique, n_leaves, ang, t, TABULATED_SECOND_OFFSET)
     clique_in, star_in = _expansion(coeff, t)
     return AmplitudePair(
         psi_clique_in=complex(clique_in),
@@ -705,19 +676,16 @@ def _max_gap(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.abs(got - want).max(initial=0.0))
 
 
-def audit_closed_forms(
-    n_clique: int, n_leaves: int, times: Sequence[int] | None = None
-) -> ClosedFormAudit:
+def audit_closed_forms(n_clique: int, n_leaves: int) -> ClosedFormAudit:
     """Audit the closed-form transcriptions against the eigenbasis.
 
-    Checks, over the sampled times (0 to 200 by default): the oscillator
-    expansion with the tabulated and with the derived second phase offset,
-    and the parity terms against the flip eigenvector's exact
-    contribution.  Eigenvector component deviations come from
-    ``walk_eigensystem``.
+    Checks, over the times 0 to 200: the oscillator expansion with the
+    tabulated and with the derived second phase offset, and the parity
+    terms against the flip eigenvector's exact contribution.  Eigenvector
+    component deviations come from ``walk_eigensystem``.
     """
     n, m = n_clique, n_leaves
-    steps = step_counts(range(201) if times is None else times)
+    steps = np.arange(201)
     report = walk_eigensystem(n, m)
     flags = list(report.formula_flags)
 
@@ -731,11 +699,12 @@ def audit_closed_forms(
         max(_max_gap(got, want) for got, want in zip(_expansion(coeff, steps), exact_pair))
         for coeff in (tabulated, derived)
     )
+    # the -1 eigenpair's share of the two hub-bound amplitudes, (-1)^t w f
     parity = 1 - 2 * (steps % 2)
-    flip_clique, flip_star = evaluator.flip_contribution(steps)
+    share, flip = parity * evaluator._weights[4], evaluator._basis[4]
     parity_dev = max(
-        _max_gap(parity * tabulated.r_clique, flip_clique),
-        _max_gap(-parity * tabulated.r_star, flip_star),
+        _max_gap(parity * tabulated.r_clique, share * flip[ArcClass.CLIQUE_IN]),
+        _max_gap(-parity * tabulated.r_star, share * flip[ArcClass.STAR_IN]),
     )
 
     if amp_dev > FLAG_TOLERANCE:

@@ -42,15 +42,20 @@ HubSeries = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def step_counts(times) -> np.ndarray:
-    """The step counts of a series request as int64, each from 0 to
-    2**63 - 1; every evaluator's ``hub_series`` reads its times here."""
-    try:
-        steps = np.asarray(times, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("step counts must be below 2**63") from None
-    if (steps < 0).any():
+    """The step counts of a series request as int64, each a whole number
+    from 0 to 2**63 - 1; every evaluator's ``hub_series`` reads its times
+    here.  Signed integers go straight to the cast; any other count is
+    checked first, since the cast would truncate a fraction and wrap a
+    count beyond int64."""
+    values = np.asarray(times)
+    kind = values.dtype.kind
+    if kind not in "biu" and not (np.floor(values) == values).all():
+        raise ValueError("step counts must be whole numbers")  # a NaN is not one
+    if (values < 0).any():
         raise ValueError("step counts must be nonnegative")
-    return steps
+    if kind not in "bi" and (values >= 2**63).any():
+        raise ValueError("step counts must be below 2**63")
+    return np.asarray(values, dtype=np.int64)
 
 
 def trace_metadata(

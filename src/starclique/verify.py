@@ -14,7 +14,7 @@ and by the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -39,15 +39,6 @@ class CheckResult:
     tolerance: float
     detail: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -68,7 +59,7 @@ class VerificationReport:
             "steps": self.steps,
             "seed": self.seed,
             "passed": self.passed,
-            "checks": [c.to_json_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 

@@ -2,9 +2,10 @@
 
 The reference the structured oracle of ``starclique.full_walk`` is checked
 against: per-arc origin, terminus, inverse and class arrays, a bincount
-coin and an inverse gather, with nothing special to a complete graph.  Arc
-ids follow ``full_walk.arc_amplitudes``: the clique arcs in origin-major,
-terminus-minor order, then the leaf-to-hub arcs, then the hub-to-leaf arcs.
+coin and an inverse gather, with nothing special to a complete graph.
+``arc_amplitudes`` flattens a structured ``full_walk.WalkState`` into this
+module's arc order: the clique arcs in origin-major, terminus-minor order,
+then the leaf-to-hub arcs, then the hub-to-leaf arcs.
 """
 
 from dataclasses import dataclass
@@ -22,6 +23,13 @@ class ArcTable:
     inverse: np.ndarray
     arc_class: np.ndarray
     degree: np.ndarray  # indexed by vertex id
+
+
+def arc_amplitudes(state) -> np.ndarray:
+    """Every arc amplitude of a ``full_walk.WalkState`` in one vector, in
+    arc-id order."""
+    off_diagonal = ~np.eye(state.clique.shape[0], dtype=bool)
+    return np.concatenate([state.clique[off_diagonal], state.star_in, state.star_out])
 
 
 def build(n: int, m: int) -> ArcTable:

@@ -8,8 +8,8 @@ import math
 
 import numpy as np
 
+from arc_table import arc_amplitudes
 import starclique as sc
-from starclique.full_walk import arc_amplitudes
 from starclique.graph import ArcClass, LeafPhase
 from starclique.verify import random_walk_states
 

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 import starclique as sc
-from starclique.asymptotics import AsymptoticRegime, Branch, theory_exponent
+from starclique.asymptotics import Branch, theory_exponent
 
 
 def test_branch_classification():
-    assert AsymptoticRegime.from_alpha(0.0).branch is Branch.SUB
-    assert AsymptoticRegime.from_alpha(0.99).branch is Branch.SUB
-    assert AsymptoticRegime.from_alpha(1.0).branch is Branch.CRITICAL
-    assert AsymptoticRegime.from_alpha(1.5).branch is Branch.SUPER
+    assert Branch.of(0.0) is Branch.SUB
+    assert Branch.of(0.99) is Branch.SUB
+    assert Branch.of(1.0) is Branch.CRITICAL
+    assert Branch.of(1.5) is Branch.SUPER
     with pytest.raises(ValueError):
-        AsymptoticRegime.from_alpha(-0.5)
+        Branch.of(-0.5)
 
 
 def test_theta1_approx_examples():

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from functools import partial
 
+import compare_traces
 import numpy as np
 import pytest
 
@@ -119,6 +120,23 @@ def test_simulate_modes_agree(tmp_path):
     assert np.abs(collapsed - closed).max() < 1e-10
 
 
+def test_trace_comparison_script(tmp_path, capsys):
+    # the script CI runs on two simulate modes: same rows and times, 1e-10
+    paths = []
+    for mode in ("full", "collapsed"):
+        paths.append(str(tmp_path / f"{mode}.csv"))
+        args = ["simulate", "--n", "40", "--alpha", "0.5", "--steps", "31",
+                "--mode", mode, "--out", paths[-1]]
+        assert main(args) == 0
+    assert compare_traces.main([*paths, "32"]) == 0
+    assert compare_traces.main([*paths, "31"]) == 1
+    assert "row counts 32 and 32, expected 31" in capsys.readouterr().err
+    trace = read_trace(paths[1])
+    for name, shift in (("p_hub", 2e-10), ("psi_star_in", 2e-10j), ("times", 1)):
+        changed = dataclasses.replace(trace, **{name: getattr(trace, name) + shift})
+        assert compare_traces.mismatch(trace, changed, 32)
+
+
 def test_simulate_json_round_trip(tmp_path):
     out = tmp_path / "trace.json"
     assert (
@@ -180,12 +198,13 @@ def test_sparse_collapsed_series_holds_one_block():
 
 def test_full_mode_arc_budget(tmp_path):
     out = tmp_path / "trace.csv"
-    code = main(
-        ["simulate", "--n", "4000", "--m", "1", "--steps", "5",
-         "--mode", "full", "--out", str(out)]
-    )
-    assert code == 3
-    assert not out.exists()
+    for n in ("4000", "4000000000"):  # the second is beyond sys.maxsize arcs
+        code = main(
+            ["simulate", "--n", n, "--m", "1", "--steps", "5",
+             "--mode", "full", "--out", str(out)]
+        )
+        assert code == 3
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

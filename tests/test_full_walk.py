@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import arc_table
+from arc_table import arc_amplitudes
 import starclique as sc
-from starclique.full_walk import arc_amplitudes, hub_series
+from starclique.full_walk import hub_series
 from starclique.graph import HUB, ArcClass, LeafPhase
 from starclique.verify import random_walk_states
 
@@ -271,7 +272,7 @@ def test_vertex_probability_partitions_unity():
 def test_vertex_probability_of_initial_state():
     g = sc.build_graph(10, 2)
     state = sc.initial_state(g)
-    assert sc.vertex_probability(g, state, g.hub) == pytest.approx(0.1, abs=1e-14)
+    assert sc.vertex_probability(g, state, HUB) == pytest.approx(0.1, abs=1e-14)
     for leaf in (10, 11):
         assert sc.vertex_probability(g, state, leaf) == 0.0
     with pytest.raises(ValueError):

@@ -31,7 +31,7 @@ def test_build_graph_smallest():
     g = gr.build_graph(3, 1)
     assert g.n_vertices == 4
     assert g.arc_count == 8
-    assert arc_table.build(3, 1).degree[g.hub] == 3
+    assert arc_table.build(3, 1).degree[gr.HUB] == 3
 
 
 def test_build_graph_counts():

@@ -5,8 +5,8 @@ import io
 import numpy as np
 import pytest
 
+from arc_table import arc_amplitudes
 import starclique as sc
-from starclique.full_walk import arc_amplitudes
 from starclique.graph import ArcClass, LeafPhase
 from starclique.trace import ProbabilityTrace, hub_probability
 

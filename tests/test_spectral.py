@@ -162,9 +162,9 @@ def test_flip_normalization_exact_vs_expansion():
 
 def test_evaluator_amplitudes_at_time_zero():
     n, m = 100, 10
-    ref = sc.EigenbasisEvaluator(n, m).amplitudes(0)
-    assert ref.psi_clique_in == pytest.approx(1 / math.sqrt(n), abs=1e-12)
-    assert abs(ref.psi_star_in) < 1e-12
+    state = sc.EigenbasisEvaluator(n, m).state_series([0])[0]
+    assert state[ArcClass.CLIQUE_IN] == pytest.approx(1 / math.sqrt(n), abs=1e-12)
+    assert abs(state[ArcClass.STAR_IN]) < 1e-12
 
 
 def test_closed_form_amplitudes_t0_within_remainder():
@@ -183,15 +183,9 @@ def test_closed_form_amplitudes_t0_within_remainder():
 
 
 def test_derived_offset_matches_reference_exactly():
+    # the audit's expansion with the derived offset, both amplitudes, t = 0..200
     for n, m in [(3, 1), (10, 3), (100, 10)]:
-        evaluator = sc.EigenbasisEvaluator(n, m)
-        for t in (0, 1, 7, 50, 199):
-            exact = evaluator.state(t)
-            pair = sc.closed_form_amplitudes(
-                n, m, t, second_offset=sp.DERIVED_SECOND_OFFSET
-            )
-            assert abs(pair.psi_clique_in - exact[ArcClass.CLIQUE_IN]) < 1e-12
-            assert abs(pair.psi_star_in - exact[ArcClass.STAR_IN]) < 1e-12
+        assert sc.audit_closed_forms(n, m).corrected_amplitude_deviation < 1e-12
 
 
 @pytest.mark.parametrize("n", [10, 100, 1000])
@@ -217,18 +211,17 @@ def test_closed_form_probability_values():
 def test_probability_near_half_at_optimal_time():
     n, m = 10**4, 1
     t_opt = sc.optimal_time_exact(n, m)
-    evaluator = sc.EigenbasisEvaluator(n, m)
-    state = evaluator.state(t_opt)
+    state = sc.EigenbasisEvaluator(n, m).state_series([t_opt])[0]
     star_sq = abs(state[ArcClass.STAR_IN]) ** 2
     clique_sq = abs(state[ArcClass.CLIQUE_IN]) ** 2
     assert abs(star_sq - 0.5) < 0.02
     assert clique_sq < 0.02
-    assert abs(evaluator.probability(t_opt) - 0.5) < 0.02
+    assert abs(sc.closed_form_probability(n, m, t_opt) - 0.5) < 0.02
 
 
 def test_parity_terms_match_flip_contribution():
     for n, m in [(10, 3), (100, 10)]:
-        audit = sc.audit_closed_forms(n, m, times=range(60))
+        audit = sc.audit_closed_forms(n, m)
         assert audit.parity_term_deviation < 1e-12
 
 
@@ -301,7 +294,7 @@ def test_evaluator_state_matches_50_digit_reference(exponent):
         evaluator = sc.EigenbasisEvaluator(n, m)
         for t in (0, 1, sc.optimal_time_exact(n, m)):
             want = np.array(_reference_state(mp, n, m, t))
-            got = evaluator.state(t)
+            got = evaluator.state_series([t])[0]
             assert got.shape == (5,)
             assert (np.abs(got - want) <= np.maximum(1e-10 * np.abs(want), 1e-15)).all()
 

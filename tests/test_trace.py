@@ -212,3 +212,48 @@ def test_library_and_cli_traces_share_one_metadata_builder():
         assert trace.metadata["alpha"] == ""
         assert trace.metadata["version"] == sc.__version__
     assert trace_metadata(7, 2, "closed", sc.LeafPhase.REVERSAL, 0.5)["alpha"] == "0.5"
+
+
+# every evaluator's series, each reading its times through trace.step_counts
+_SERIES = {
+    "spectral": lambda times: sc.spectral.hub_series(100, 10, times),
+    "collapsed": lambda times: sc.collapsed.hub_series(
+        sc.build_reduced_operators(100, 10), sc.collapsed_initial_state(100, 10), times
+    ),
+    "full": lambda times: sc.full_walk.hub_series(
+        sc.build_graph(10, 3), None, sc.LeafPhase.REVERSAL, times
+    ),
+    "asymptotic": lambda times: sc.asymptotics.hub_series(100, 0.5, times),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "times, problem",
+    [
+        ([1.5], "whole numbers"),
+        (np.array([0.0, 2.7]), "whole numbers"),
+        ([np.nan], "whole numbers"),
+        (np.array([2**63], dtype=np.uint64), r"below 2\*\*63"),
+    ],
+    ids=["fraction", "float-array", "nan", "uint64-2**63"],
+)
+@pytest.mark.parametrize("series", list(_SERIES))
+def test_series_reject_fractional_and_wrapping_step_counts(series, times, problem):
+    # a fraction was truncated to the row before it, and a uint64 count
+    # beyond int64 wrapped and was reported as negative
+    with pytest.raises(ValueError, match=f"^step counts must be {problem}$"):
+        _SERIES[series](times)
+
+
+@pytest.mark.parametrize("series", list(_SERIES))
+def test_series_read_whole_and_unsigned_step_counts_as_integers(series):
+    want = _SERIES[series](np.array([0, 2, 3], dtype=np.int64))
+    for times in ([0.0, 2.0, 3.0], np.array([0, 2, 3], dtype=np.uint64)):
+        for got, expected in zip(_SERIES[series](times), want):
+            assert np.array_equal(got, expected)
+
+
+def test_closed_form_probability_rejects_a_fractional_time():
+    with pytest.raises(ValueError, match="^step counts must be whole numbers$"):
+        sc.closed_form_probability(100, 10, 2.7)
