@@ -32,9 +32,9 @@ from .verify import run_checks
 
 DEFAULT_ARC_BUDGET = 10**7
 _ARC_BUDGET_HELP = (
-    "most arcs, N(N-1) + 2m, that a full evaluation may hold (default 10^7); "
-    "from the uniform start the oracle keeps one float64 block, 8 bytes per "
-    "clique arc, so the default is about 80 MB; exit code 3 when exceeded"
+    "most arcs, N(N-1) + 2m, of a full evaluation (default 10^7); from the "
+    "uniform start the oracle holds O(N + m) memory and takes O(N + m) per "
+    "step, so the budget caps the problem size; exit code 3 when exceeded"
 )
 _INT64_MAX = 2**63 - 1
 

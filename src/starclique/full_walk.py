@@ -8,24 +8,40 @@ carry the ordinary degree-1 coin (+1).
 
 The clique is complete, so its arc amplitudes form one N x N block
 ``clique[u, w]`` (arc u -> w, zero diagonal) and the star's form two
-length-m vectors.  No per-arc index table is needed: the incoming sums are
-one BLAS matrix-vector product ``ones @ clique``, the coin subtracts the
-block from one row of per-vertex values, and the shift is a transpose.  A
-step is one product and one pass over the block, updated in place on a
-private copy; no operator matrix is materialized.  One kernel, ``_advance``,
-runs every step for ``step``, ``hub_series`` and ``evolve``.
+length-m vectors.  The clique coin is a rank-one reflection: it sends the
+block A to 1gᵀ - A, with g the incoming sums times 2/deg, and the shift
+transposes the result.  So from a start block X every later block keeps
+the form
 
-The BLAS sums round differently from numpy's pairwise column sums, so
-full-mode traces change in their last digits: by at most 2.4e-13 over N
-from 3 to 2192, both leaf phases and 250 steps (at (1000, 31), where the
-BLAS series is 3.2e-14 from the closed form and the pairwise one 2.1e-13).
+    A_t = s·Y + 1aᵀ + b1ᵀ + diag(d),   s = (-1)^t,  Y = X (t even) or Xᵀ (t odd),
+
+with length-N vectors a and b, and d whatever makes the diagonal zero.  A
+step updates a, b and the star vectors from X's column and row sums,
+taken once, on preallocated buffers: O(N + m) work for any start.  The
+probe reads the hub column s·Y[:, HUB] + a[HUB] + b in O(N).  The uniform
+start is X = 0, a = c·1, b = 0, d = -c·1, so ``hub_series`` and ``evolve``
+from it (``None``) hold O(N + m) memory and no N x N array; a given start
+is only read.  Only ``step`` builds a block: the one it returns, in one
+allocation.  One kernel, ``_advance``, runs every step for
+``step``, ``hub_series`` and ``evolve``.  It does not use the five-class
+symmetry, so it checks ``collapsed`` independently.
+
+Only a[w] + b[u] is observable, so a constant can move between the two
+vectors.  Left alone, a and b drift apart linearly in t and cancel: by
+the optimal time the uniform series ends 8.9e-8 from the closed form at
+(N, m) = (1e5, 1) and 2.9e-10 at (1e5, 316).  Each step therefore
+re-centres them to equal sums (a + k, b - k), folded into the update's
+scalar terms.  Measured with it: over 250 steps, both leaf phases and N
+from 3 to 2200, the uniform series is within 1.5e-14 of a longdouble
+dense reference (the dense float64 kernel this replaces drifted to
+2.0e-13 at N = 2200); through the optimal time it is within 1.3e-13 of
+``spectral.hub_series`` at (1e5, 316), 5.3e-13 at (1e4, 1) and 3.0e-12 at
+(1e5, 1).
 
 From the uniform start the walk is real (a real coin, leaf phase +-1), so
-``initial_state`` is float64 and the oracle runs in real arithmetic: half
-the bytes of a complex block per step.  The step, shift, probability and
-projection work for any dtype, so complex states evolve as before.
-``hub_series`` and ``evolve`` take ``None`` for the uniform start and then
-build it themselves, so a run holds one N x N block.
+``initial_state`` is float64 and the oracle runs in real arithmetic.  The
+step, shift, probability and projection work for any dtype, so complex
+states evolve as before.
 
 The public functions never write to their inputs; a state can be handed
 between threads and parameter sweeps can run concurrently on independent
@@ -75,57 +91,113 @@ def shift(graph: GluedGraph, state: WalkState) -> WalkState:
     return WalkState(state.clique.T, state.star_out, state.star_in, state.time)
 
 
-def _private_arrays(graph: GluedGraph, state: WalkState):
-    """C-contiguous copies of the state's arrays, in one dtype, that the
-    kernel may overwrite."""
-    n, m = graph.n_clique, graph.n_leaves
-    shapes = (state.clique.shape, state.star_in.shape, state.star_out.shape)
-    if shapes != ((n, n), (m,), (m,)):
-        raise ValueError(f"state has shapes {shapes}, graph needs {((n, n), (m,), (m,))}")
-    arrays = (state.clique, state.star_in, state.star_out)
-    dtype = np.result_type(*arrays, np.float64)
-    return tuple(np.array(a, dtype, order="C") for a in arrays)
+def _sum_terms(block: np.ndarray, column: np.ndarray) -> tuple:
+    """s times the column sums of Y off the diagonal, for the even and the
+    odd steps after the first, each as (2/(N-1) times the vector, its hub
+    entry).  The kernel adds them in every step, so their rounding acts as
+    a constant forcing and must be small and alike for rows and columns:
+    both are pairwise sums along a contiguous axis, for which the columns
+    take one transposed copy of the block.  (The column sums accumulated
+    row by row, against pairwise row sums, drifted the uniform series
+    2.5e-13 from the closed form over 1000 steps at (200, 1); these keep it
+    at 2.1e-14.)"""
+    factor = 2.0 / (block.shape[0] - 1)
+    diagonal = block.diagonal()
+    even = np.add.reduce(np.ascontiguousarray(block.T), axis=1, dtype=column.dtype) - diagonal
+    odd = diagonal - np.add.reduce(np.ascontiguousarray(block), axis=1, dtype=column.dtype)
+    return (factor * even, even[HUB]), (factor * odd, odd[HUB])  # odd: Y = Xᵀ, s = -1
 
 
 def _advance(graph: GluedGraph, state: WalkState | None, leaf_phase: LeafPhase, steps):
-    """The step kernel: yield ``(clique, star_in, star_out)`` after each of
-    the ascending step counts ``steps``, advancing one private copy of
-    ``state`` in place (``None``: the uniform start, built here and advanced
-    without a copy).  The yielded arrays are the kernel's own and change on
-    the next step.
+    """The step kernel: yield ``(a, b, star_in, star_out)`` after each of the
+    ascending step counts ``steps`` from ``state`` (``None``: the uniform
+    start, X = 0 and a = c·1).  After t steps the block is s·Y + 1aᵀ + b1ᵀ
+    off its diagonal; ``_hub_column`` and ``_clique`` read it.  The yielded
+    arrays are the kernel's own and change on the next step.
 
-    The coin sends the clique arc u -> w to g[w] - clique[u, w], with g the
-    incoming sums (one BLAS product ``ones @ clique``) times 2/deg; the
-    shift then reads the block transposed and swaps the star vectors, each
-    rewritten in place.  The block keeps its memory, so its diagonal is the
-    same strided view in either orientation.
+    With f = 2/(N-1) the incoming sums of the block are
+    g[w] = s·cs[w] + (N-1)a[w] - b[w] + sum(b) (cs: column sums of Y off the
+    diagonal), and the coin and shift give a' = -b and b' = f·g - a; the
+    hub's entry of g takes the star's sum and 2/(N - 1 + m).  A given start
+    enters with a = b = 0, so its first step only places its scaled column
+    sums, diagonal included, in b and leaves a zero.  Its row sums are taken
+    only if a second step is asked for.
     """
     n, m = graph.n_clique, graph.n_leaves
+    column = terms = None
     if state is None:
-        start = initial_state(graph)
-        clique, star_in, star_out = start.clique, start.star_in, start.star_out
+        a = np.full(n, 1.0 / math.sqrt(n * (n - 1)))
+        b, star_in, star_out = np.zeros(n), np.zeros(m), np.zeros(m)
+        a_sum = n * a[0]
     else:
-        clique, star_in, star_out = _private_arrays(graph, state)
-    ones = np.ones(n, dtype=clique.dtype)
-    g = np.empty(n, dtype=clique.dtype)
-    diagonal = clique.reshape(-1)[:: n + 1]  # a view: the block is C-contiguous
-    clique_factor, hub_factor = 2.0 / (n - 1), 2.0 / (n - 1 + m)
+        shapes = (state.clique.shape, state.star_in.shape, state.star_out.shape)
+        if shapes != ((n, n), (m,), (m,)):
+            raise ValueError(f"state has shapes {shapes}, graph needs {((n, n), (m,), (m,))}")
+        dtype = np.result_type(state.clique, state.star_in, state.star_out, np.float64)
+        a, b = np.zeros(n, dtype), np.zeros(n, dtype)
+        star_in, star_out = np.array(state.star_in, dtype), np.array(state.star_out, dtype)
+        a_sum = 0.0
+        column = np.add.reduce(state.clique, axis=0, dtype=dtype)
+        if len(steps) and steps[-1] > 1:
+            terms = _sum_terms(state.clique, column)
+    scratch = np.empty_like(a)
+    factor, hub_factor = 2.0 / (n - 1), 2.0 / (n - 1 + m)
     reverse = leaf_phase is LeafPhase.REVERSAL
     done = 0
     for t in steps:
-        for _ in range(t - done):
-            np.matmul(ones, clique, out=g)
-            g_hub = (g[HUB] + star_in.sum()) * hub_factor
-            g *= clique_factor
-            g[HUB] = g_hub
-            np.subtract(g, clique, out=clique)
-            diagonal.fill(0.0)
+        for done in range(done, t):
+            if done == 0 and column is not None:
+                b_sum = shift_k = 0.0
+                np.multiply(column, factor, out=scratch)
+                hub_in = column[HUB] + star_in.sum()
+            else:
+                b_sum = b.sum()
+                shift_k = (b_sum - a_sum) / (2 * n)  # a + k and b - k: equal sums
+                np.multiply(b, -factor, out=scratch)
+                scratch += a  # the new b, less its constant: a - f b (f(N-1) = 2)
+                hub_in = (n - 1) * a[HUB] - b[HUB] + b_sum + star_in.sum()
+                if terms is not None:
+                    term, term_hub = terms[done & 1]
+                    scratch += term
+                    hub_in += term_hub
+                scratch += factor * b_sum - shift_k
+                np.subtract(shift_k, b, out=b)  # the new a
+            g_hub = hub_factor * hub_in
+            scratch[HUB] = g_hub - a[HUB] - shift_k
             np.subtract(g_hub, star_in, out=star_in)  # coined at the hub
             if reverse:
                 np.negative(star_out, out=star_out)  # bounced off a leaf
-            clique, star_in, star_out = clique.T, star_out, star_in
+            a, b, scratch = b, scratch, a
+            star_in, star_out = star_out, star_in
+            a_sum = n * shift_k - b_sum
         done = t
-        yield clique, star_in, star_out
+        yield a, b, star_in, star_out
+
+
+def _hub_column(start: np.ndarray | None, t: int, a: np.ndarray, b: np.ndarray,
+                out: np.ndarray) -> None:
+    """The hub column s·Y[:, HUB] + a[HUB] + b of the block after t steps from
+    ``start`` into ``out``; its diagonal entry is the start's before the
+    first step and 0 after (the uniform start's is 0 too)."""
+    np.add(b, a[HUB], out=out)
+    if start is not None:
+        if t & 1:
+            out -= start[HUB, :]
+        else:
+            out += start[:, HUB]
+    if t or start is None:
+        out[HUB] = 0.0
+
+
+def _clique(start: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The block after one step from ``start``: b1ᵀ - Xᵀ (a is zero then),
+    with a zero diagonal, in one N x N allocation laid out like the start,
+    so that both passes run in memory order for a C-ordered start."""
+    memory = np.empty(start.shape, b.dtype)
+    np.copyto(memory, b)  # memory[w, u] = b[u]: the block's transpose
+    memory -= start
+    memory.reshape(-1)[:: start.shape[0] + 1] = 0.0  # the diagonal of either orientation
+    return memory.T
 
 
 def step(
@@ -139,13 +211,12 @@ def step(
     2/deg(v) * (incoming sum at v) - itself wherever the coin has support,
     and to minus itself on the leaves under phase reversal.
     """
-    clique, star_in, star_out = next(_advance(graph, state, leaf_phase, (1,)))
-    return WalkState(clique, star_in, star_out, state.time + 1)
+    _, b, star_in, star_out = next(_advance(graph, state, leaf_phase, (1,)))
+    return WalkState(_clique(state.clique, b), star_in, star_out, state.time + 1)
 
 
-def _hub_probability(clique: np.ndarray, star_in: np.ndarray) -> float:
+def _hub_probability(incoming: np.ndarray, star_in: np.ndarray) -> float:
     """Probability on the arcs into the hub: its clique column and the star."""
-    incoming = clique[:, HUB]
     return float((np.vdot(incoming, incoming) + np.vdot(star_in, star_in)).real)
 
 
@@ -157,7 +228,7 @@ def vertex_probability(graph: GluedGraph, state: WalkState, vertex: int) -> floa
     if vertex >= graph.n_clique:
         return float(abs(state.star_out[vertex - graph.n_clique]) ** 2)
     if vertex == HUB:
-        return _hub_probability(state.clique, state.star_in)
+        return _hub_probability(state.clique[:, HUB], state.star_in)
     incoming = state.clique[:, vertex]
     return float(np.vdot(incoming, incoming).real)
 
@@ -204,18 +275,25 @@ def hub_series(
     graph: GluedGraph, state: WalkState | None, leaf_phase: LeafPhase, times
 ) -> HubSeries:
     """Hub series after each of the ascending step counts ``times`` from
-    ``state``; p_hub is measured on the arcs into the hub.  The walk runs on
-    one private copy of ``state``, advanced in place; ``None`` starts from
-    ``initial_state(graph)``, built here and advanced without a copy."""
+    ``state``; p_hub is measured on the arcs into the hub.  ``None`` starts
+    from the uniform state without building it: O(N + m) memory.  A given
+    state is never written; beyond one step, its column sums take one
+    transposed copy of its block."""
     steps = ascending_steps(times)
     p = np.empty(len(steps), dtype=np.float64)
     clique_in = np.empty(len(steps), dtype=np.complex128)
     star_in = np.empty(len(steps), dtype=np.complex128)
+    start = None if state is None else state.clique
+    column = None
     in_norm, star_norm = math.sqrt(graph.n_clique - 1), math.sqrt(graph.n_leaves)
-    for row, (clique, leaves_in, _) in enumerate(_advance(graph, state, leaf_phase, steps)):
-        p[row] = _hub_probability(clique, leaves_in)
+    walk = _advance(graph, state, leaf_phase, steps)
+    for row, (t, (a, b, leaves_in, _)) in enumerate(zip(steps.tolist(), walk)):
+        if column is None:
+            column = np.empty_like(b)
+        _hub_column(start, t, a, b, column)
+        p[row] = _hub_probability(column, leaves_in)
         # the two hub-bound class amplitudes of collapse(), without its block sum
-        clique_in[row] = clique[1:, HUB].sum() / in_norm
+        clique_in[row] = column[1:].sum() / in_norm
         star_in[row] = leaves_in.sum() / star_norm
     return p, clique_in, star_in
 

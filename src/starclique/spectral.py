@@ -568,10 +568,6 @@ class AmplitudePair:
     psi_star_in: complex
     coefficients: OscillatorCoefficients
 
-    @property
-    def probability(self) -> float:
-        return hub_probability(self.psi_clique_in, self.psi_star_in)
-
 
 def _oscillator_coefficients(
     n: int, m: int, ang: DiscriminantAngles, t, second_offset: float

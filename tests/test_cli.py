@@ -180,6 +180,40 @@ def test_full_mode_holds_one_real_block(tmp_path):
     assert peak <= 1.5 * 8 * n * n
 
 
+def test_full_mode_from_the_uniform_start_holds_no_block(tmp_path):
+    # a float64 block at N = 3000 is 72 MB; the structured oracle keeps vectors
+    args = ["simulate", "--n", "3000", "--m", "55", "--steps", "20", "--mode", "full"]
+    assert main(args + ["--out", str(tmp_path / "warm.csv")]) == 0
+    tracemalloc.start()
+    try:
+        code = main(args + ["--out", str(tmp_path / "t.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1_000_000
+
+
+def test_consecutive_commands_share_no_state(tmp_path, capsys):
+    # commands run one after another in one process: an option given to one
+    # command, or a failed parse, must not carry over into the next one
+    full, default = tmp_path / "full.csv", tmp_path / "default.csv"
+    base = ["simulate", "--n", "20", "--m", "3", "--steps", "5"]
+    assert main(base + ["--mode", "full", "--leaf-phase", "plain", "--out", str(full)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--mode", "nonsense"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit):
+        main(["simulate", "--n"])
+    assert main(base + ["--out", str(default)]) == 0
+    assert read_trace(full).metadata["mode"] == "full"
+    assert read_trace(default).metadata["mode"] == "collapsed"
+    assert read_trace(default).metadata["leaf_phase"] == "reversal"
+    capsys.readouterr()
+    assert main(["verify", "--n", "10", "--m", "3", "--steps", "20"]) == 0
+    assert "PASS full_vs_collapsed_probability" in capsys.readouterr().out
+
+
 def test_sparse_collapsed_series_holds_one_block():
     # 10^6 steps walk through about 3900 blocks but hold one block of
     # powers, not 10^6 rows (32 MB of hub amplitudes)

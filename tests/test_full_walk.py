@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import arc_table
+import dense_kernel
 from arc_table import arc_amplitudes
 import starclique as sc
 from starclique.full_walk import hub_series
@@ -137,11 +139,11 @@ def test_series_match_arc_table_from_random_state(n, m, phase):
 @pytest.mark.parametrize("n,m", _KERNEL_SIZES)
 @pytest.mark.parametrize("phase", [LeafPhase.REVERSAL, LeafPhase.PLAIN])
 def test_series_match_arc_table_from_odd_time(n, m, phase):
-    # step returns the transposed view of its block: a start at odd time
+    # a start that step returned, at odd time
     g = sc.build_graph(n, m)
     table = arc_table.build(n, m)
     state = sc.step(g, next(random_walk_states(g, 1, seed=37)), phase)
-    assert state.time == 1 and not state.clique.flags.c_contiguous
+    assert state.time == 1
     psi = arc_amplitudes(state)
     times = np.arange(51)
     want = _table_series(table, psi, phase, times)
@@ -187,6 +189,110 @@ def test_walks_leave_the_input_state_untouched(phase):
         assert all(a.dtype == b.dtype for a, b in zip(after, before))
 
 
+_PHASES = [LeafPhase.REVERSAL, LeafPhase.PLAIN]
+
+
+def _assert_states_close(got, want, tol=1e-12):
+    for a, b in zip((got.clique, got.star_in, got.star_out),
+                    (want.clique, want.star_in, want.star_out)):
+        assert np.abs(a - b).max() <= tol
+    assert got.time == want.time
+
+
+def _check_against_dense(g, state, phase, times=(0, 1, 2, 3, 8, 31, 60), steps=20):
+    """The structured kernel and the dense reference from ``state``: the
+    series at ``times`` and ``steps`` states stepped one at a time."""
+    want = dense_kernel.hub_series(g, state, phase, times)
+    _assert_series_close(hub_series(g, state, phase, times), want)
+    got = want = state
+    for _ in range(steps):
+        got, want = sc.step(g, got, phase), dense_kernel.step(g, want, phase)
+        _assert_states_close(got, want)
+
+
+@pytest.mark.parametrize("n,m", _KERNEL_SIZES)
+@pytest.mark.parametrize("phase", _PHASES)
+def test_kernel_matches_dense_reference(n, m, phase):
+    g = sc.build_graph(n, m)
+    for state in random_walk_states(g, 3, seed=43):
+        _check_against_dense(g, state, phase)
+    # a start at odd time, as step returns it
+    odd_time = sc.step(g, next(random_walk_states(g, 1, seed=47)), phase)
+    _check_against_dense(g, odd_time, phase)
+
+
+@pytest.mark.parametrize("n,m", _KERNEL_SIZES)
+@pytest.mark.parametrize("phase", _PHASES)
+def test_kernel_matches_dense_reference_on_non_contiguous_input(n, m, phase):
+    # a Fortran-ordered block and strided star vectors; a strided block
+    g = sc.build_graph(n, m)
+    base = next(random_walk_states(g, 1, seed=53))
+    stars = np.stack([base.star_in, base.star_out], axis=1)  # columns are strided
+    _check_against_dense(
+        g, sc.WalkState(np.asfortranarray(base.clique), stars[:, 0], stars[:, 1]), phase
+    )
+    wide = np.zeros((n, 2 * n), dtype=np.complex128)
+    wide[:, ::2] = base.clique
+    _check_against_dense(g, sc.WalkState(wide[:, ::2], base.star_in, base.star_out), phase)
+
+
+@pytest.mark.parametrize("n,m", _KERNEL_SIZES)
+@pytest.mark.parametrize("phase", _PHASES)
+def test_kernel_matches_dense_reference_with_diagonal(n, m, phase):
+    # a start whose clique diagonal is not zero: both kernels count it in
+    # the first step's incoming sums and zero it after
+    g = sc.build_graph(n, m)
+    base = next(random_walk_states(g, 1, seed=59))
+    clique = base.clique.copy()
+    np.fill_diagonal(clique, np.linspace(0.1, 0.3, n) * (1 - 0.5j))
+    state = sc.WalkState(clique, base.star_in, base.star_out)
+    assert state.clique[HUB, HUB] != 0
+    _check_against_dense(g, state, phase)
+
+
+def test_real_kernel_matches_dense_reference():
+    # the float64 uniform start, given and as None, against the dense kernel
+    g = sc.build_graph(57, 9)
+    for phase in _PHASES:
+        times = np.arange(0, 301, 7)
+        want = dense_kernel.hub_series(g, sc.initial_state(g), phase, times)
+        for start in (None, sc.initial_state(g)):
+            _assert_series_close(hub_series(g, start, phase, times), want)
+
+
+@pytest.mark.parametrize("n,m", [(10**5, 316), (10**4, 1)])
+def test_uniform_series_matches_closed_form_through_optimal_time(n, m):
+    # beyond any dense block: 80 GB at N = 1e5.  Measured: 1.3e-13 and 5.3e-13
+    t_opt = sc.optimal_time_exact(n, m)
+    times = np.unique(np.append(np.arange(0, t_opt, 47), [t_opt - 1, t_opt]))
+    got = hub_series(sc.build_graph(n, m), None, LeafPhase.REVERSAL, times)
+    _assert_series_close(got, sc.spectral.hub_series(n, m, times), tol=1e-10)
+
+
+def test_given_start_sums_do_not_drift():
+    # the kernel adds the start's row and column sums in every step, so
+    # their rounding acts as a constant forcing: measured 1.4e-14 after
+    # 1000 steps at (200, 1); column sums accumulated row by row drift to 2.5e-13
+    n, m = 200, 1
+    g = sc.build_graph(n, m)
+    times = np.arange(0, 1001, 5)
+    got = hub_series(g, sc.initial_state(g), LeafPhase.REVERSAL, times)
+    _assert_series_close(got, sc.spectral.hub_series(n, m, times), tol=1e-13)
+
+
+def test_uniform_series_holds_no_block():
+    # the dense oracle held a 72 MB float64 block at N = 3000
+    g = sc.build_graph(3000, 55)
+    hub_series(g, None, LeafPhase.REVERSAL, [0, 1])  # caches outside the measurement
+    tracemalloc.start()
+    try:
+        hub_series(g, None, LeafPhase.REVERSAL, np.arange(40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_initial_state_is_real():
     g = sc.build_graph(12, 3)
     state = sc.initial_state(g)
@@ -214,22 +320,31 @@ def test_real_walk_matches_complex_walk(phase):
         real, cplx = sc.step(g, real, phase), sc.step(g, cplx, phase)
     assert real.clique.dtype == np.float64 and cplx.clique.dtype == np.complex128
     assert np.abs(arc_amplitudes(real) - arc_amplitudes(cplx)).max() <= 1e-14
-    # hub_series advances one block in place, alternating its memory order;
-    # numpy sums a contiguous column pairwise, blocked differently for float64
-    # and complex128, so the series differ by rounding (1.1e-14 on p at most)
+    # hub_series from the same given start: numpy's sums are blocked
+    # differently for float64 and complex128, so the series differ by
+    # rounding (1.6e-14 at most)
     times = np.arange(301)
-    from_none = hub_series(g, None, phase, times)
+    from_real = hub_series(g, sc.initial_state(g), phase, times)
     from_complex = hub_series(g, _as_complex(sc.initial_state(g)), phase, times)
-    for got, want in zip(from_none, from_complex):
+    for got, want in zip(from_real, from_complex):
         assert np.abs(got - want).max() <= 2e-14
 
 
 def test_evolve_from_none_is_the_uniform_start():
+    # None is X = 0 plus an affine part, the given start X = the uniform
+    # block: the same walk in two representations, equal up to rounding
     g = sc.build_graph(20, 4)
     from_none = sc.evolve(g, None, 30)
     given = sc.evolve(g, sc.initial_state(g), 30)
-    for column in ("times", "p_hub", "psi_clique_in", "psi_star_in"):
-        assert getattr(from_none, column).tobytes() == getattr(given, column).tobytes()
+    assert np.array_equal(from_none.times, given.times)
+    columns = ("p_hub", "psi_clique_in", "psi_star_in")
+    for column in columns:
+        assert np.abs(getattr(from_none, column) - getattr(given, column)).max() <= 1e-14
+    table = arc_table.build(20, 4)
+    want = _table_series(table, arc_amplitudes(sc.initial_state(g)), LeafPhase.REVERSAL,
+                         range(31))
+    for trace in (from_none, given):
+        _assert_series_close([getattr(trace, column) for column in columns], want)
 
 
 @pytest.mark.parametrize("n,m", [(3, 1), (10, 3), (57, 9)])
