@@ -18,7 +18,9 @@ the form
 with length-N vectors a and b, and d whatever makes the diagonal zero.  A
 step updates a, b and the star vectors from X's column and row sums,
 taken once, on preallocated buffers: O(N + m) work for any start.  The
-probe reads the hub column s·Y[:, HUB] + a[HUB] + b in O(N).  The uniform
+probe reads the hub column s·Y[:, HUB] + a[HUB] + b in O(N), a block of
+rows at a time, so that per step it makes one numpy add and one copy and
+the rest of its calls run once per block.  The uniform
 start is X = 0, a = c·1, b = 0, d = -c·1, so ``hub_series`` and ``evolve``
 from it (``None``) hold O(N + m) memory and no N x N array; a given start
 is only read.  Only ``step`` builds a block: the one it returns, in one
@@ -31,10 +33,11 @@ vectors.  Left alone, a and b drift apart linearly in t and cancel: by
 the optimal time the uniform series ends 8.9e-8 from the closed form at
 (N, m) = (1e5, 1) and 2.9e-10 at (1e5, 316).  Each step therefore
 re-centres them to equal sums (a + k, b - k), folded into the update's
-scalar terms.  Measured with it: over 250 steps, both leaf phases and N
-from 3 to 2200, the uniform series is within 1.5e-14 of a longdouble
-dense reference (the dense float64 kernel this replaces drifted to
-2.0e-13 at N = 2200); through the optimal time it is within 1.3e-13 of
+scalar terms.  Measured with it and the block probe: over 250 steps,
+both leaf phases, N from 3 to 2200 and m = 1, isqrt(N) and N, the uniform
+series is within 1.4e-14 of a longdouble dense reference (the dense
+float64 kernel this replaces drifted to 2.0e-13 at N = 2200); at every
+step through the optimal time it is within 1.3e-13 of
 ``spectral.hub_series`` at (1e5, 316), 5.3e-13 at (1e4, 1) and 3.0e-12 at
 (1e5, 1).
 
@@ -112,7 +115,7 @@ def _advance(graph: GluedGraph, state: WalkState | None, leaf_phase: LeafPhase, 
     """The step kernel: yield ``(a, b, star_in, star_out)`` after each of the
     ascending step counts ``steps`` from ``state`` (``None``: the uniform
     start, X = 0 and a = c·1).  After t steps the block is s·Y + 1aᵀ + b1ᵀ
-    off its diagonal; ``_hub_column`` and ``_clique`` read it.  The yielded
+    off its diagonal; ``hub_series`` and ``_clique`` read it.  The yielded
     arrays are the kernel's own and change on the next step.
 
     With f = 2/(N-1) the incoming sums of the block are
@@ -174,19 +177,9 @@ def _advance(graph: GluedGraph, state: WalkState | None, leaf_phase: LeafPhase, 
         yield a, b, star_in, star_out
 
 
-def _hub_column(start: np.ndarray | None, t: int, a: np.ndarray, b: np.ndarray,
-                out: np.ndarray) -> None:
-    """The hub column s·Y[:, HUB] + a[HUB] + b of the block after t steps from
-    ``start`` into ``out``; its diagonal entry is the start's before the
-    first step and 0 after (the uniform start's is 0 too)."""
-    np.add(b, a[HUB], out=out)
-    if start is not None:
-        if t & 1:
-            out -= start[HUB, :]
-        else:
-            out += start[:, HUB]
-    if t or start is None:
-        out[HUB] = 0.0
+#: Entries of ``hub_series``' block buffer: 64 rows of N + m entries at
+#: N + m = 1024, one row from N + m = 2^16, so the probe holds O(N + m).
+_PROBE_ELEMENTS = 1 << 16
 
 
 def _clique(start: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -215,9 +208,13 @@ def step(
     return WalkState(_clique(state.clique, b), star_in, star_out, state.time + 1)
 
 
-def _hub_probability(incoming: np.ndarray, star_in: np.ndarray) -> float:
-    """Probability on the arcs into the hub: its clique column and the star."""
-    return float((np.vdot(incoming, incoming) + np.vdot(star_in, star_in)).real)
+def _hub_probability(incoming: np.ndarray) -> np.ndarray:
+    """Probability on the arcs into the hub, along the last axis of
+    ``incoming`` (C-contiguous): the hub's clique column, then the star."""
+    parts = incoming.view(incoming.real.dtype)  # a complex entry's two parts, adjacent
+    # one BLAS dot per row: einsum's accumulation drifted p 4e-14 from a
+    # longdouble reference at (2200, 2200), against 8e-15 for the dot
+    return np.matmul(parts[..., None, :], parts[..., :, None])[..., 0, 0]
 
 
 def vertex_probability(graph: GluedGraph, state: WalkState, vertex: int) -> float:
@@ -228,7 +225,7 @@ def vertex_probability(graph: GluedGraph, state: WalkState, vertex: int) -> floa
     if vertex >= graph.n_clique:
         return float(abs(state.star_out[vertex - graph.n_clique]) ** 2)
     if vertex == HUB:
-        return _hub_probability(state.clique[:, HUB], state.star_in)
+        return float(_hub_probability(np.concatenate((state.clique[:, HUB], state.star_in))))
     incoming = state.clique[:, vertex]
     return float(np.vdot(incoming, incoming).real)
 
@@ -278,23 +275,46 @@ def hub_series(
     ``state``; p_hub is measured on the arcs into the hub.  ``None`` starts
     from the uniform state without building it: O(N + m) memory.  A given
     state is never written; beyond one step, its column sums take one
-    transposed copy of its block."""
+    transposed copy of its block.
+
+    The probe runs a block of rows at a time: each step writes b + a[HUB]
+    and its star vector into one row of a buffer of at most
+    ``_PROBE_ELEMENTS`` entries (at least one row), and a few vectorised
+    calls per block then complete the hub columns s·Y[:, HUB] + a[HUB] + b,
+    whose diagonal entry is the start's before the first step and 0 after
+    (the uniform start's is 0 too), and read their p_hub and the two
+    hub-bound class amplitudes of ``collapse``."""
     steps = ascending_steps(times)
+    n, m = graph.n_clique, graph.n_leaves
     p = np.empty(len(steps), dtype=np.float64)
     clique_in = np.empty(len(steps), dtype=np.complex128)
     star_in = np.empty(len(steps), dtype=np.complex128)
     start = None if state is None else state.clique
-    column = None
-    in_norm, star_norm = math.sqrt(graph.n_clique - 1), math.sqrt(graph.n_leaves)
+    rows = max(1, min(len(steps), _PROBE_ELEMENTS // (n + m)))
+    block = None
     walk = _advance(graph, state, leaf_phase, steps)
-    for row, (t, (a, b, leaves_in, _)) in enumerate(zip(steps.tolist(), walk)):
-        if column is None:
-            column = np.empty_like(b)
-        _hub_column(start, t, a, b, column)
-        p[row] = _hub_probability(column, leaves_in)
-        # the two hub-bound class amplitudes of collapse(), without its block sum
-        clique_in[row] = column[1:].sum() / in_norm
-        star_in[row] = leaves_in.sum() / star_norm
+    for low in range(0, len(steps), rows):
+        chunk = steps[low : low + rows]
+        for row, (a, b, leaves_in, _) in zip(range(len(chunk)), walk):
+            if block is None:
+                block = np.empty((rows, n + m), b.dtype)
+            np.add(b, a[HUB], out=block[row, :n])
+            block[row, n:] = leaves_in
+        high = low + len(chunk)
+        incoming = block[: len(chunk)]  # per row: the hub column, then the star
+        column = incoming[:, :n]
+        if start is None:
+            column[:, HUB] = 0.0
+        else:
+            odd = (chunk & 1).astype(bool)
+            column[odd] -= start[HUB, :]
+            column[~odd] += start[:, HUB]
+            column[chunk > 0, HUB] = 0.0
+        p[low:high] = _hub_probability(incoming)
+        clique_in[low:high] = column[:, 1:].sum(axis=1)
+        star_in[low:high] = incoming[:, n:].sum(axis=1)
+    clique_in /= math.sqrt(n - 1)
+    star_in /= math.sqrt(m)
     return p, clique_in, star_in
 
 

@@ -260,6 +260,28 @@ def test_real_kernel_matches_dense_reference():
             _assert_series_close(hub_series(g, start, phase, times), want)
 
 
+@pytest.mark.parametrize("n,m,rows", [(24, 1000, 64), (8, 16376, 4), (3, 1 << 16, 1)])
+@pytest.mark.parametrize("phase", _PHASES)
+def test_block_probe_matches_dense_reference(n, m, rows, phase):
+    # series that end just before, at and just after a block edge, and
+    # sparse ones spanning several blocks; complex and real given starts with
+    # a nonzero diagonal, whose hub entry the t = 0 rows must keep
+    g = sc.build_graph(n, m)
+    assert max(1, sc.full_walk._PROBE_ELEMENTS // (n + m)) == rows
+    base = next(random_walk_states(g, 1, seed=61))
+    clique = base.clique.copy()
+    np.fill_diagonal(clique, np.linspace(0.1, 0.3, n) * (1 - 0.5j))
+    given = sc.WalkState(clique, base.star_in, base.star_out)
+    real = sc.WalkState(*(a.real.copy() for a in (clique, base.star_in, base.star_out)))
+    series = [np.arange(k) for k in sorted({1, max(rows - 1, 1), rows, rows + 1})]
+    series += [[0, 1, 63, 64, 65, 300], [0, 0, 2, 2, 3]]
+    for start in (None, given, real):
+        reference = sc.initial_state(g) if start is None else start
+        for times in series:
+            want = dense_kernel.hub_series(g, reference, phase, times)
+            _assert_series_close(hub_series(g, start, phase, times), want)
+
+
 @pytest.mark.parametrize("n,m", [(10**5, 316), (10**4, 1)])
 def test_uniform_series_matches_closed_form_through_optimal_time(n, m):
     # beyond any dense block: 80 GB at N = 1e5.  Measured: 1.3e-13 and 5.3e-13

@@ -1,6 +1,7 @@
 """The random-state checks of ``verify.run_checks`` catch faulty steps, and
 every check is held to its one fixed tolerance."""
 
+import dataclasses
 import inspect
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 
 import starclique as sc
 from starclique import full_walk, verify
+from starclique.cli import main
 from starclique.graph import LeafPhase
 
 
@@ -159,16 +161,98 @@ def test_random_states_are_drawn_one_at_a_time():
 
 
 def test_random_states_are_the_listed_draws():
-    # the states, in order, of drawing every state up front from one generator
+    # the states, in order, of one generator drawing one centred uniform
+    # block of complex amplitudes per state
     g = sc.build_graph(9, 4)
     rng = np.random.default_rng(5)
     size = 81 + 8
     drawn = verify.random_walk_states(g, 3, seed=5)
     for _ in range(3):
-        psi = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        psi = rng.random(2 * size).view(np.complex128) - (0.5 + 0.5j)
         np.fill_diagonal(psi[:81].reshape(9, 9), 0.0)
         psi /= np.linalg.norm(psi)
         state = next(drawn)
         got = np.concatenate([state.clique.ravel(), state.star_in, state.star_out])
         assert np.array_equal(got, psi)
     assert next(drawn, None) is None
+
+
+def test_random_states_are_distinct_unit_states_that_repeat():
+    g = sc.build_graph(12, 5)
+    states = list(verify.random_walk_states(g, verify.RANDOM_STATES, seed=9))
+    again = list(verify.random_walk_states(g, verify.RANDOM_STATES, seed=9))
+    flat = [np.concatenate([s.clique.ravel(), s.star_in, s.star_out]) for s in states]
+    for state, vector in zip(states, flat):
+        assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-15)
+        assert not np.diagonal(state.clique).any()
+        assert np.count_nonzero(vector) == vector.size - 12  # every arc off the diagonal
+    assert len({vector.tobytes() for vector in flat}) == len(flat)
+    for vector, state in zip(flat, again):
+        assert np.array_equal(
+            vector, np.concatenate([state.clique.ravel(), state.star_in, state.star_out])
+        )
+
+
+# a NaN deviation fails each gate that reduces several deviations, wherever
+# it falls among them (the builtin max keeps a NaN only when it comes first)
+
+
+def test_nan_lift_fails_collapse_lift_roundtrip(monkeypatch):
+    lift = full_walk.lift
+
+    def faulty(graph, state):
+        out = lift(graph, state)
+        clique = out.clique.copy()
+        clique[2, 3] = np.nan  # an interior clique arc
+        return sc.WalkState(clique, out.star_in, out.star_out, out.time)
+
+    monkeypatch.setattr(full_walk, "lift", faulty)
+    check = _check(verify.run_checks(20, 4, 30, seed=3), "collapse_lift_roundtrip")
+    assert not check.passed and np.isnan(check.max_deviation)
+
+
+class _NanProduct(float):
+    """A root whose product with the other comes out NaN; its sum does not."""
+
+    def __mul__(self, other):
+        return float("nan")
+
+
+def test_nan_root_product_fails_discriminant_identities(monkeypatch):
+    angles = verify.discriminant_angles
+
+    def faulty(n_clique, n_leaves):
+        ang = angles(n_clique, n_leaves)
+        return ang._replace(cos_theta_1=_NanProduct(ang.cos_theta_1))
+
+    monkeypatch.setattr(verify, "discriminant_angles", faulty)
+    check = _check(verify.run_checks(20, 4, 30, seed=3), "discriminant_identities")
+    assert not check.passed and np.isnan(check.max_deviation)
+
+
+def _nan_second_residual(report):
+    return dataclasses.replace(report, residuals=(report.residuals[0], np.nan, *report.residuals[2:]))
+
+
+def test_nan_residual_fails_spectral_residuals(monkeypatch):
+    eigensystem = verify.walk_eigensystem
+    monkeypatch.setattr(
+        verify, "walk_eigensystem", lambda n, m: _nan_second_residual(eigensystem(n, m))
+    )
+    check = _check(verify.run_checks(20, 4, 30, seed=3), "spectral_residuals")
+    assert not check.passed and np.isnan(check.max_deviation)
+
+
+def test_nan_residual_fails_spectrum(tmp_path, capsys, monkeypatch):
+    audit = sc.spectral.audit_closed_forms
+
+    def faulty(n_clique, n_leaves):
+        got = audit(n_clique, n_leaves)
+        return dataclasses.replace(got, report=_nan_second_residual(got.report))
+
+    monkeypatch.setattr(sc.spectral, "audit_closed_forms", faulty)
+    out = tmp_path / "spectrum.json"
+    assert main(["spectrum", "--n", "100", "--m", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spectral residual nan exceeds") and err.count("\n") == 1
+    assert not out.exists()
