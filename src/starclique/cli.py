@@ -392,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_ARC_BUDGET,
         help=_ARC_BUDGET_HELP + "; verify draws its 20 random complex states one "
-        "at a time and holds about 8 complex copies, 16 bytes per arc each",
+        "at a time, checks them on the O(N + m) structured kernel and holds "
+        "about 2 complex copies, 16 bytes per arc each",
     )
     ver.add_argument("--out", help="optional JSON report path")
     ver.add_argument(

@@ -25,8 +25,18 @@ start is X = 0, a = c·1, b = 0, d = -c·1, so ``hub_series`` and ``evolve``
 from it (``None``) hold O(N + m) memory and no N x N array; a given start
 is only read.  Only ``step`` builds a block: the one it returns, in one
 allocation.  One kernel, ``_advance``, runs every step for
-``step``, ``hub_series`` and ``evolve``.  It does not use the five-class
-symmetry, so it checks ``collapsed`` independently.
+``step``, ``hub_series`` and ``evolve``, and for ``verify``'s random-state
+checks.  It does not use the five-class symmetry, so it checks
+``collapsed`` independently.  It also starts from an ``_Affine`` start,
+X = 0 with a and b given: the lift of five class amplitudes is one
+(``_lifted``), so a step from lift(collapse(psi)) costs O(N + m).
+``verify`` reads the random states' steps, both leaf phases and the
+commutation's two sides, as these vectors and ``_off_diagonal_square``
+takes the commutation's norm from them: a state's block is read only by
+reductions (column sums, squared norm) and the involution's compare, and
+no N x N array is built but the draw and that compare's difference.  Its
+reduced-operator conjugation and collapse/lift round trip keep the public
+``lift``, ``step`` and ``collapse`` on the five class basis states.
 
 Only a[w] + b[u] is observable, so a constant can move between the two
 vectors.  Left alone, a and b drift apart linearly in t and cancel: by
@@ -56,6 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,12 +122,32 @@ def _sum_terms(block: np.ndarray, column: np.ndarray) -> tuple:
     return (factor * even, even[HUB]), (factor * odd, odd[HUB])  # odd: Y = Xᵀ, s = -1
 
 
-def _advance(graph: GluedGraph, state: WalkState | None, leaf_phase: LeafPhase, steps):
-    """The step kernel: yield ``(a, b, star_in, star_out)`` after each of the
-    ascending step counts ``steps`` from ``state`` (``None``: the uniform
-    start, X = 0 and a = c·1).  After t steps the block is s·Y + 1aᵀ + b1ᵀ
-    off its diagonal; ``hub_series`` and ``_clique`` read it.  The yielded
-    arrays are the kernel's own and change on the next step.
+class _Affine(NamedTuple):
+    """A structured start with X = 0: the clique block 1aᵀ + b1ᵀ off its
+    diagonal (entry u -> w is a[w] + b[u]), and the star vectors.  A step
+    from it reads no block, so it costs O(N + m); ``_lifted`` builds the lift
+    of five class amplitudes as one."""
+
+    a: np.ndarray
+    b: np.ndarray
+    star_in: np.ndarray
+    star_out: np.ndarray
+
+
+def _check_shapes(arrays, needed) -> None:
+    shapes = tuple(array.shape for array in arrays)
+    if shapes != needed:
+        raise ValueError(f"state has shapes {shapes}, graph needs {needed}")
+
+
+def _advance(graph: GluedGraph, state: WalkState | _Affine | None, leaf_phase: LeafPhase, steps):
+    """The step kernel: an iterator of ``(a, b, star_in, star_out)`` after
+    each of the ascending step counts ``steps`` from ``state``: ``None`` (the
+    uniform start, X = 0 and a = c·1), a ``WalkState`` or an ``_Affine``
+    start.  After t steps the block is s·Y + 1aᵀ + b1ᵀ off its diagonal;
+    ``hub_series`` and ``_clique`` read it.  The yielded arrays are the
+    kernel's own and change on the next step.  The start is checked and read
+    on the call, so a bad one raises even when no step is asked for.
 
     With f = 2/(N-1) the incoming sums of the block are
     g[w] = s·cs[w] + (N-1)a[w] - b[w] + sum(b) (cs: column sums of Y off the
@@ -132,20 +163,30 @@ def _advance(graph: GluedGraph, state: WalkState | None, leaf_phase: LeafPhase, 
         a = np.full(n, 1.0 / math.sqrt(n * (n - 1)))
         b, star_in, star_out = np.zeros(n), np.zeros(m), np.zeros(m)
         a_sum = n * a[0]
+    elif isinstance(state, _Affine):
+        _check_shapes(state, ((n,), (n,), (m,), (m,)))
+        dtype = np.result_type(*state, np.float64)
+        a, b, star_in, star_out = (np.array(vector, dtype) for vector in state)
+        a_sum = a.sum()
     else:
-        shapes = (state.clique.shape, state.star_in.shape, state.star_out.shape)
-        if shapes != ((n, n), (m,), (m,)):
-            raise ValueError(f"state has shapes {shapes}, graph needs {((n, n), (m,), (m,))}")
-        dtype = np.result_type(state.clique, state.star_in, state.star_out, np.float64)
+        arrays = (state.clique, state.star_in, state.star_out)
+        _check_shapes(arrays, ((n, n), (m,), (m,)))
+        dtype = np.result_type(*arrays, np.float64)
         a, b = np.zeros(n, dtype), np.zeros(n, dtype)
         star_in, star_out = np.array(state.star_in, dtype), np.array(state.star_out, dtype)
         a_sum = 0.0
         column = np.add.reduce(state.clique, axis=0, dtype=dtype)
         if len(steps) and steps[-1] > 1:
             terms = _sum_terms(state.clique, column)
+    reverse = leaf_phase is LeafPhase.REVERSAL
+    return _steps(a, b, star_in, star_out, a_sum, column, terms, reverse, steps)
+
+
+def _steps(a, b, star_in, star_out, a_sum, column, terms, reverse, steps):
+    """``_advance``'s loop, on its own copies of the start's vectors."""
+    n, m = a.size, star_in.size
     scratch = np.empty_like(a)
     factor, hub_factor = 2.0 / (n - 1), 2.0 / (n - 1 + m)
-    reverse = leaf_phase is LeafPhase.REVERSAL
     done = 0
     for t in steps:
         for done in range(done, t):
@@ -266,6 +307,39 @@ def lift(graph: GluedGraph, state: CollapsedState) -> WalkState:
         np.full(m, per_arc[ArcClass.STAR_OUT]),
         state.time,
     )
+
+
+def _lifted(graph: GluedGraph, sums) -> _Affine:
+    """``lift(collapse(state))`` as an ``_Affine`` start, from the state's
+    five class sums (``collapse`` in ``ArcClass`` order, before its scaling):
+    each class's mean per arc, the interior one in a, the hub-bound one in
+    a[HUB], the hub-leaving one less the interior one in b[HUB]."""
+    n, m = graph.n_clique, graph.n_leaves
+    interior, into_hub, out_of_hub, star_in, star_out = (
+        complex(total) / size for total, size in zip(sums, class_sizes(n, m))
+    )
+    a = np.full(n, interior)
+    a[HUB] = into_hub
+    b = np.zeros(n, dtype=np.complex128)
+    b[HUB] = out_of_hub - interior
+    return _Affine(a, b, np.full(m, star_in), np.full(m, star_out))
+
+
+def _off_diagonal_square(a: np.ndarray, b: np.ndarray) -> float:
+    """Squared Euclidean norm of the block 1aᵀ + b1ᵀ off its diagonal, in O(N).
+
+    Expanded as it stands, the sum over u != w of |a[w] + b[u]|^2 cancels
+    terms the size of |a|^2 and |b|^2.  About the means, with mu their sum,
+    it is N(N-1)|mu|^2 + N(|a - mean a|^2 + |b - mean b|^2)
+    - |a - mean a + b - mean b|^2, whose last term is at most 2/N of the
+    one before: what cancels is the rounding of the means, about 1e-16 of
+    their size."""
+    n = a.size
+    mean_a, mean_b = a.sum() / n, b.sum() / n
+    a, b = a - mean_a, b - mean_b
+    both = a + b
+    spread = n * (np.vdot(a, a) + np.vdot(b, b)) - np.vdot(both, both)
+    return n * (n - 1) * abs(mean_a + mean_b) ** 2 + spread.real
 
 
 def hub_series(

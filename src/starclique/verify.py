@@ -13,7 +13,6 @@ and by the tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import collapsed as cw
 from . import full_walk as fw
-from .graph import GluedGraph, LeafPhase, build_graph
+from .graph import HUB, GluedGraph, LeafPhase, build_graph
 from .spectral import (
     NUMERIC_TOLERANCE,
     RESIDUAL_TOLERANCE,
@@ -68,7 +67,7 @@ RANDOM_STATES = 20
 
 #: Every check's fixed tolerance, in the order ``run_checks`` reports them.
 #: A check passes when its deviation is below its tolerance; the checks in
-#: INCLUSIVE pass at it too, so shift_involution, a largest magnitude held
+#: INCLUSIVE pass at it too, so shift_involution, a largest difference held
 #: to 0, passes only at exactly 0.  A NaN deviation fails every check.
 TOLERANCES = {
     "full_vs_collapsed_probability": 1e-10,
@@ -98,37 +97,100 @@ def random_walk_states(
     """Random unit states on the arc space, drawn one at a time from one
     generator, so a caller that keeps none holds one state at a time.
 
-    Each state is one block of 2(N^2 + 2m) uniform doubles read as complex
-    amplitudes and centred, so both parts of every arc are uniform on
-    [-1/2, 1/2); the clique diagonal is then zeroed and the state
-    normalised.  The checks it feeds are identities that hold for every
-    state, so any seeded draw with a density exercises them, and one
-    uniform block costs a fifth of a Gaussian pair."""
+    Each state is one block of 2(N^2 + 2m) uniform doubles, centred and read
+    as complex amplitudes, so both parts of every arc are uniform on
+    [-1/2, 1/2); the clique diagonal is then zeroed and the doubles scaled in
+    place to a unit state.  The checks it feeds are identities that hold for
+    every state, so any seeded draw with a density exercises them, and one
+    uniform block costs a fifth of a Gaussian pair.  ``run_checks`` checks
+    each state on the structured kernel and holds about two complex copies
+    of the arcs at its peak (``tracemalloc``: 2.1 at N = 400): a state, and
+    either the one before it while it is drawn or the involution's
+    difference."""
     rng = np.random.default_rng(seed)
     n, m = graph.n_clique, graph.n_leaves
     size = n * n + 2 * m
     for _ in range(count):
-        psi = rng.random(2 * size).view(np.complex128)
-        psi -= 0.5 + 0.5j
+        flat = rng.random(2 * size)
+        flat -= 0.5
+        psi = flat.view(np.complex128)
         clique = psi[: n * n].reshape(n, n)  # a view: the fill writes psi
         np.fill_diagonal(clique, 0.0)
-        psi /= np.linalg.norm(psi)
+        flat /= np.linalg.norm(flat)
         yield fw.WalkState(clique, psi[n * n : n * n + m], psi[n * n + m :])
 
 
-def _differences(a: fw.WalkState, b: fw.WalkState) -> tuple[np.ndarray, ...]:
-    """Arc-wise differences of two states, block by block (the zero
-    diagonals of the clique blocks add nothing)."""
-    return (a.clique - b.clique, a.star_in - b.star_in, a.star_out - b.star_out)
+def _random_state_deviations(
+    graph: GluedGraph, state: fw.WalkState, leaf_phase: LeafPhase, other_phase: LeafPhase
+) -> tuple[float, float, float]:
+    """One state's projection-commutation, unitarity (the worse of the two
+    leaf phases) and shift-involution deviations, on the structured kernel.
+
+    A step from the state's block X (zero diagonal, as every ``WalkState``'s)
+    leaves b1ᵀ - Xᵀ off the diagonal, with a = 0 (``full_walk._advance``), so
+    its squared norm is (N-1)|b|^2 - 2 Re<b, cs> + |X|^2 plus the star's, cs
+    being X's column sums, and its class sums follow from b, cs and X's
+    hub-row sum.  The lift of five class amplitudes is an ``_Affine`` start
+    and a step from it another, so the commutation's two sides differ by
+    O(N + m) vectors.  X is read by reductions (its column sums, here and
+    in each step, and its squared norm) and by the involution's compare,
+    whose difference is the one N x N array built."""
+    n = graph.n_clique
+    x = state.clique
+    columns = np.add.reduce(x, axis=0)
+    hub_row = x[HUB].sum()
+    flat = x.ravel(order="K")
+    x_norm2 = np.vdot(flat, flat).real
+    interior = columns.sum() - columns[HUB] - hub_row
+    class_sums = (interior, columns[HUB], hub_row, state.star_in.sum(), state.star_out.sum())
+
+    unitarity = 0.0
+    for phase in (other_phase, leaf_phase):  # the step in leaf_phase is kept
+        _, b, star_in, star_out = next(fw._advance(graph, state, phase, (1,)))
+        norm2 = ((n - 1) * np.vdot(b, b) - 2 * np.vdot(columns, b) + x_norm2
+                 + np.vdot(star_in, star_in) + np.vdot(star_out, star_out)).real
+        unitarity = np.maximum(unitarity, abs(np.sqrt(norm2) - 1.0))
+
+    b_rest = b.sum() - b[HUB]
+    stepped_sums = (
+        (n - 2) * b_rest - interior,
+        b_rest - hub_row,
+        (n - 1) * b[HUB] - columns[HUB],
+        star_in.sum(),
+        star_out.sum(),
+    )
+    left = next(fw._advance(graph, fw._lifted(graph, class_sums), leaf_phase, (1,)))
+    right = fw._lifted(graph, stepped_sums)
+    a_diff, b_diff, in_diff, out_diff = (l - r for l, r in zip(left, right))
+    stars = (np.vdot(in_diff, in_diff) + np.vdot(out_diff, out_diff)).real
+    commutation = np.sqrt(fw._off_diagonal_square(a_diff, b_diff) + stars)
+
+    involution = 0.0
+    twice = fw.shift(graph, fw.shift(graph, state))
+    for again, once in zip((twice.clique, twice.star_in, twice.star_out),
+                           (state.clique, state.star_in, state.star_out)):
+        parts = (again - once).view(np.float64)  # real and imaginary parts apart
+        involution = np.maximum(involution, np.abs(parts, out=parts).max())
+    return commutation, unitarity, involution
 
 
-def _norm(*blocks: np.ndarray) -> float:
-    """Euclidean norm over all entries of the blocks, in any memory order."""
-    total = 0.0
-    for block in blocks:
-        flat = block.ravel(order="K")  # a view for either orientation of a block
-        total += float(np.vdot(flat, flat).real)
-    return math.sqrt(total)
+def _random_state_checks(
+    graph: GluedGraph, leaf_phase: LeafPhase, other_phase: LeafPhase, seed: int
+) -> list[CheckResult]:
+    """On ``RANDOM_STATES`` random unit states: commutation of the step with
+    the class-averaging projection, unitarity in both leaf phases, and the
+    shift's involution, each at its worst state.  np.maximum keeps a NaN
+    deviation, which the builtin max would drop.  No state outlives the
+    call."""
+    worst = np.zeros(3)
+    for state in random_walk_states(graph, RANDOM_STATES, seed):
+        worst = np.maximum(worst, _random_state_deviations(graph, state, leaf_phase, other_phase))
+    commutation, unitarity, involution = worst
+    return [
+        judge("projection_commutation", commutation, f"{RANDOM_STATES} random unit states"),
+        judge("unitarity", unitarity),
+        judge("shift_involution", involution, "bitwise equality required"),
+    ]
 
 
 def conjugated_reduced_operator(
@@ -141,8 +203,8 @@ def conjugated_reduced_operator(
         basis = np.zeros(5, dtype=np.complex128)
         basis[j] = 1.0
         lifted = fw.lift(graph, cw.CollapsedState(amplitudes=basis))
-        stepped = fw.step(graph, lifted, leaf_phase)
-        matrix[:, j] = fw.collapse(graph, stepped).amplitudes
+        # the step inline, so that no stepped block outlives its column
+        matrix[:, j] = fw.collapse(graph, fw.step(graph, lifted, leaf_phase)).amplitudes
     return matrix
 
 
@@ -177,25 +239,7 @@ def run_checks(
         )
     ]
 
-    # on random unit states: commutation of the step with the class-averaging
-    # projection, unitarity in both leaf phases, and the shift's involution;
-    # np.maximum keeps a NaN deviation, which the builtin max would drop
-    commutation = unitarity = involution = 0.0
-    for state in random_walk_states(graph, RANDOM_STATES, seed):
-        stepped = fw.step(graph, state, leaf_phase)
-        left = fw.step(graph, fw.lift(graph, fw.collapse(graph, state)), leaf_phase)
-        right = fw.lift(graph, fw.collapse(graph, stepped))
-        commutation = np.maximum(commutation, _norm(*_differences(left, right)))
-        for out in (stepped, fw.step(graph, state, other_phase)):
-            norm = _norm(out.clique, out.star_in, out.star_out)
-            unitarity = np.maximum(unitarity, abs(norm - 1.0))
-        for difference in _differences(fw.shift(graph, fw.shift(graph, state)), state):
-            involution = np.maximum(involution, np.abs(difference).max())
-    checks += [
-        judge("projection_commutation", commutation, f"{RANDOM_STATES} random unit states"),
-        judge("unitarity", unitarity),
-        judge("shift_involution", involution, "bitwise equality required"),
-    ]
+    checks += _random_state_checks(graph, leaf_phase, other_phase, seed)
 
     # closed-form reduced operator vs conjugated full operator
     conjugated = conjugated_reduced_operator(graph, leaf_phase)

@@ -8,6 +8,7 @@ import arc_table
 import dense_kernel
 from arc_table import arc_amplitudes
 import starclique as sc
+from starclique import full_walk
 from starclique.full_walk import hub_series
 from starclique.graph import HUB, ArcClass, LeafPhase
 from starclique.verify import random_walk_states
@@ -82,6 +83,18 @@ def test_step_rejects_dimension_mismatch():
         sc.step(g, _leaf_bound_unit_mass(4, 2))
     with pytest.raises(ValueError):
         sc.step(g, _leaf_bound_unit_mass(5, 3))
+
+
+@pytest.mark.parametrize("times", [[], [0], [0, 3]])
+def test_walks_check_the_start_on_entry(times):
+    # a wrong shape raises on the call, also when no step is asked for
+    g = sc.build_graph(10, 3)
+    bad = sc.WalkState(np.zeros((4, 4)), np.zeros(1), np.zeros(1))
+    with pytest.raises(ValueError, match="shapes"):
+        hub_series(g, bad, LeafPhase.REVERSAL, times)
+    with pytest.raises(ValueError, match="shapes"):
+        full_walk._advance(g, full_walk._Affine(np.zeros(10), np.zeros(10), np.zeros(3),
+                                                np.zeros(2)), LeafPhase.REVERSAL, times)
 
 
 @pytest.mark.parametrize("n,m", [(3, 1), (7, 3), (40, 40), (60, 5)])
@@ -248,6 +261,39 @@ def test_kernel_matches_dense_reference_with_diagonal(n, m, phase):
     state = sc.WalkState(clique, base.star_in, base.star_out)
     assert state.clique[HUB, HUB] != 0
     _check_against_dense(g, state, phase)
+
+
+@pytest.mark.parametrize("n,m", _KERNEL_SIZES)
+@pytest.mark.parametrize("phase", _PHASES)
+def test_affine_start_matches_dense_reference(n, m, phase):
+    # a lifted start as vectors (X = 0): its block 1aᵀ + b1ᵀ, off the
+    # diagonal, against the dense kernel from the dense lift, over 9 steps
+    g = sc.build_graph(n, m)
+    state = next(random_walk_states(g, 1, seed=61))
+    collapsed = sc.collapse(g, state)
+    sizes = np.sqrt(np.asarray(sc.class_sizes(n, m), dtype=np.float64))
+    start = full_walk._lifted(g, collapsed.amplitudes * sizes)
+    steps = np.array([1, 2, 5, 9])
+    got = full_walk._advance(g, start, phase, steps)
+    want = dense_kernel.advance(g, sc.lift(g, collapsed), phase, steps)
+    off = ~np.eye(n, dtype=bool)
+    for (a, b, star_in, star_out), (clique, want_in, want_out) in zip(got, want):
+        assert np.abs((a[None, :] + b[:, None] - clique)[off]).max() <= 1e-15
+        assert np.abs(star_in - want_in).max() <= 1e-15
+        assert np.abs(star_out - want_out).max() <= 1e-15
+
+
+def test_off_diagonal_square_matches_the_block():
+    # against the materialised block, also where a and b nearly cancel: at
+    # these offsets the sum expanded as it stands misses by about 1e-8
+    rng = np.random.default_rng(67)
+    for n, offset in ((3, 0.0), (50, 0.0), (50, 1e4), (400, -1e4)):
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n) + offset
+        b = rng.standard_normal(n) - offset
+        block = a[None, :] + b[:, None]
+        np.fill_diagonal(block, 0.0)
+        want = np.vdot(block, block).real
+        assert full_walk._off_diagonal_square(a, b) == pytest.approx(want, rel=1e-9)
 
 
 def test_real_kernel_matches_dense_reference():

@@ -19,35 +19,90 @@ def _check(report, name):
     return check
 
 
+def _inject(monkeypatch, fault, only=None):
+    # the step kernel, rewriting a copy of each (a, b, star_in, star_out) it
+    # yields (in leaf phase ``only``, if given): the random-state checks read
+    # these vectors, and so does the public step that the dense route runs
+    advance = full_walk._advance
+
+    def faulty(graph, state, leaf_phase, steps):
+        for vectors in advance(graph, state, leaf_phase, steps):
+            if only in (None, leaf_phase):
+                vectors = fault(*(vector.copy() for vector in vectors))
+            yield vectors
+
+    monkeypatch.setattr(full_walk, "_advance", faulty)
+
+
+def _scaled(a, b, star_in, star_out):
+    # off by 1e-9 in scale
+    return tuple(vector * (1 + 1e-9) for vector in (a, b, star_in, star_out))
+
+
+def _leaf_flipped(a, b, star_in, star_out):
+    # a sign flip on one leaf's amplitude: unitary, but it singles out one
+    # leaf, so the step no longer commutes with class averaging
+    star_in[0] *= -1
+    return a, b, star_in, star_out
+
+
+def _nan_arc(a, b, star_in, star_out):
+    # on an arc into a leaf, which the hub probe of the full trace leaves out
+    star_out[0] = np.nan
+    return a, b, star_in, star_out
+
+
+def _arc_norm(*states):
+    # Euclidean norm of one state, or of the difference of two, arc by arc
+    blocks = [(s.clique, s.star_in, s.star_out) for s in states]
+    parts = blocks[0] if len(blocks) == 1 else [x - y for x, y in zip(*blocks)]
+    return np.sqrt(sum(np.vdot(p, p).real for p in parts))
+
+
+def _dense_deviations(graph, state, leaf_phase, other_phase):
+    # one state's three deviations by the dense route: the public step, lift
+    # and collapse, and arc-wise differences of whole states
+    fw = full_walk
+    stepped = fw.step(graph, state, leaf_phase)
+    left = fw.step(graph, fw.lift(graph, fw.collapse(graph, state)), leaf_phase)
+    right = fw.lift(graph, fw.collapse(graph, stepped))
+    unitarity = np.max([abs(_arc_norm(out) - 1.0)
+                        for out in (stepped, fw.step(graph, state, other_phase))])
+    twice = fw.shift(graph, fw.shift(graph, state))
+    involution = np.max([np.abs(x - y).max() for x, y in zip(
+        (twice.clique, twice.star_in, twice.star_out),
+        (state.clique, state.star_in, state.star_out))])
+    return _arc_norm(left, right), unitarity, involution
+
+
+_OTHER = {LeafPhase.REVERSAL: LeafPhase.PLAIN, LeafPhase.PLAIN: LeafPhase.REVERSAL}
+
+
 def test_non_unitary_step_fails_unitarity(monkeypatch):
-    # a step off by 1e-9 in scale: the norm moves by 1e-9, far above 1e-12
-    step = full_walk.step
-
-    def faulty(graph, state, leaf_phase=LeafPhase.REVERSAL):
-        out = step(graph, state, leaf_phase)
-        scale = 1 + 1e-9
-        return sc.WalkState(out.clique * scale, out.star_in * scale,
-                            out.star_out * scale, out.time)
-
-    monkeypatch.setattr(full_walk, "step", faulty)
+    # the scaled vectors carry part of each stepped state's norm, so its
+    # norm moves by a fraction of 1e-9, still far above 1e-12; the dense
+    # route reads the same deviation from the same faulty kernel
+    _inject(monkeypatch, _scaled)
     report = verify.run_checks(20, 4, 30, seed=3)
     check = _check(report, "unitarity")
     assert not check.passed
-    assert check.max_deviation == pytest.approx(1e-9, rel=1e-3)
+    assert 1e-11 < check.max_deviation < 1e-9
+    g = sc.build_graph(20, 4)
+    dense = max(_dense_deviations(g, state, LeafPhase.REVERSAL, LeafPhase.PLAIN)[1]
+                for state in verify.random_walk_states(g, verify.RANDOM_STATES, 3))
+    assert check.max_deviation == pytest.approx(dense, rel=1e-3)
+
+
+def test_non_unitary_step_in_the_other_phase_fails_unitarity(monkeypatch):
+    # unitarity is checked in both leaf phases, not only the one verified
+    _inject(monkeypatch, _scaled, only=LeafPhase.PLAIN)
+    report = verify.run_checks(20, 4, 30, seed=3, leaf_phase=LeafPhase.REVERSAL)
+    assert not _check(report, "unitarity").passed
+    assert report.checks[0].passed  # the reversal-phase trace is sound
 
 
 def test_asymmetric_step_fails_commutation(monkeypatch):
-    # a sign flip on one interior clique arc is unitary but singles out
-    # two vertices, so the step no longer commutes with class averaging
-    step = full_walk.step
-
-    def faulty(graph, state, leaf_phase=LeafPhase.REVERSAL):
-        out = step(graph, state, leaf_phase)
-        clique = out.clique.copy()
-        clique[1, 2] *= -1
-        return sc.WalkState(clique, out.star_in, out.star_out, out.time)
-
-    monkeypatch.setattr(full_walk, "step", faulty)
+    _inject(monkeypatch, _leaf_flipped)
     report = verify.run_checks(20, 4, 30, seed=3)
     assert not _check(report, "projection_commutation").passed
     assert _check(report, "unitarity").passed
@@ -55,19 +110,29 @@ def test_asymmetric_step_fails_commutation(monkeypatch):
 
 def test_nan_step_fails_the_random_state_checks(monkeypatch):
     # a NaN deviation must fail its check, not read as 0
-    step = full_walk.step
-
-    def faulty(graph, state, leaf_phase=LeafPhase.REVERSAL):
-        out = step(graph, state, leaf_phase)
-        clique = out.clique.copy()
-        clique[1, 2] = np.nan
-        return sc.WalkState(clique, out.star_in, out.star_out, out.time)
-
-    monkeypatch.setattr(full_walk, "step", faulty)
+    _inject(monkeypatch, _nan_arc)
     report = verify.run_checks(20, 4, 30, seed=3)
     for name in ("projection_commutation", "unitarity"):
         check = _check(report, name)
         assert not check.passed and np.isnan(check.max_deviation)
+
+
+@pytest.mark.parametrize("n,m", [(20, 4), (57, 9), (100, 100)])
+@pytest.mark.parametrize("phase", [LeafPhase.REVERSAL, LeafPhase.PLAIN])
+@pytest.mark.parametrize("fault", [None, _leaf_flipped])
+def test_structured_deviations_match_the_dense_route(monkeypatch, n, m, phase, fault):
+    # per state, the structured checks read what the dense route reads, on a
+    # sound kernel and on one that breaks the class symmetry
+    if fault is not None:
+        _inject(monkeypatch, fault)
+    g = sc.build_graph(n, m)
+    worst = 0.0
+    for state in verify.random_walk_states(g, verify.RANDOM_STATES, seed=n + m):
+        got = verify._random_state_deviations(g, state, phase, _OTHER[phase])
+        want = _dense_deviations(g, state, phase, _OTHER[phase])
+        assert np.abs(np.subtract(got, want)).max() <= 1e-13
+        worst = max(worst, got[0])
+    assert (worst > 1e-3) == (fault is not None)  # the fault shows
 
 
 _complex_states = verify.random_walk_states
@@ -156,21 +221,36 @@ def test_random_states_are_drawn_one_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 8 complex N x N blocks; all 20 states held at once take 26
+    # about 2 complex N x N blocks; all 20 states held at once take 26
     assert peak <= 12 * 16 * n * n
+
+
+def test_random_state_checks_hold_three_copies():
+    # a drawn state and the involution's difference at a time, about 2.1
+    # complex copies of the arcs at N = 400
+    n = 400
+    verify.run_checks(20, 3, 5)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        verify.run_checks(n, 20, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * n * n
 
 
 def test_random_states_are_the_listed_draws():
     # the states, in order, of one generator drawing one centred uniform
-    # block of complex amplitudes per state
+    # block of complex amplitudes per state, scaled as doubles
     g = sc.build_graph(9, 4)
     rng = np.random.default_rng(5)
     size = 81 + 8
     drawn = verify.random_walk_states(g, 3, seed=5)
     for _ in range(3):
-        psi = rng.random(2 * size).view(np.complex128) - (0.5 + 0.5j)
+        flat = rng.random(2 * size) - 0.5
+        psi = flat.view(np.complex128)
         np.fill_diagonal(psi[:81].reshape(9, 9), 0.0)
-        psi /= np.linalg.norm(psi)
+        flat /= np.linalg.norm(flat)
         state = next(drawn)
         got = np.concatenate([state.clique.ravel(), state.star_in, state.star_out])
         assert np.array_equal(got, psi)
