@@ -10,16 +10,12 @@ __version__ = "0.1.0"
 
 from .asymptotics import (
     Branch,
-    CoefficientEstimates,
     ExponentFit,
-    coefficient_estimates,
-    cos_theta1_approx,
     exponent_fit,
     optimal_time_branch,
     optimal_time_exact,
-    probability_approx,
-    theta1_approx,
 )
+from .audit import ClosedFormAudit, audit_closed_forms
 from .collapsed import (
     CollapsedState,
     ReducedOperators,
@@ -35,7 +31,6 @@ from .full_walk import (
     lift,
     shift,
     step,
-    vertex_probability,
 )
 from .graph import (
     ArcClass,
@@ -46,15 +41,10 @@ from .graph import (
     leaves_from_alpha,
 )
 from .spectral import (
-    AmplitudePair,
-    ClosedFormAudit,
     EigenbasisEvaluator,
     SpectrumReport,
-    audit_closed_forms,
-    closed_form_amplitudes,
     closed_form_probability,
     discriminant_angles,
-    discriminant_eigenvectors,
     walk_eigensystem,
 )
 from .trace import ProbabilityTrace
@@ -62,11 +52,9 @@ from .verify import VerificationReport, run_checks
 
 __all__ = [
     "__version__",
-    "AmplitudePair",
     "ArcClass",
     "Branch",
     "ClosedFormAudit",
-    "CoefficientEstimates",
     "CollapsedState",
     "EigenbasisEvaluator",
     "ExponentFit",
@@ -81,14 +69,10 @@ __all__ = [
     "build_graph",
     "build_reduced_operators",
     "class_sizes",
-    "closed_form_amplitudes",
     "closed_form_probability",
-    "coefficient_estimates",
     "collapse",
     "collapsed_initial_state",
-    "cos_theta1_approx",
     "discriminant_angles",
-    "discriminant_eigenvectors",
     "evolve",
     "evolve_collapsed",
     "exponent_fit",
@@ -97,11 +81,8 @@ __all__ = [
     "lift",
     "optimal_time_branch",
     "optimal_time_exact",
-    "probability_approx",
     "run_checks",
     "shift",
     "step",
-    "theta1_approx",
-    "vertex_probability",
     "walk_eigensystem",
 ]

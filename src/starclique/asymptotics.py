@@ -3,27 +3,32 @@
 The leaf-count exponent alpha splits the family into three regimes with a
 phase transition at alpha = 1: below it the optimal running time scales as
 N^((2-alpha)/2); at and above it the scaling saturates at sqrt(N).  This
-module carries the leading-order estimates for the principal angle and the
-expansion coefficients, the exact and branch closed forms of the optimal
-time, and the log-log exponent fit used for the phase diagram.
+module carries the leading-order hub series, the exact and branch closed
+forms of the optimal time, and the log-log exponent fit used for the phase
+diagram.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from .graph import leaves_from_alpha
-from .spectral import (
-    TABULATED_SECOND_OFFSET,
-    _oscillator_coefficients,
-    discriminant_angles,
-)
+from .spectral import discriminant_angles
 from .trace import HubSeries, step_counts
+
+#: Relative error bound of pi / (2 theta_1) in float64.  The quotient takes
+#: about ten rounded operations on (N, m), none of which cancels, so 2^-46
+#: (128 units in the last place) bounds it with room to spare.
+QUOTIENT_ERROR = 2.0**-46
+
+#: pi to 60 significant digits, for the exact floor.
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 
 
 class Branch(Enum):
@@ -43,40 +48,44 @@ class Branch(Enum):
         return cls.CRITICAL if alpha == 1 else cls.SUPER
 
 
-def cos_theta1_approx(n_clique: int, alpha: float) -> float:
-    """Leading-order estimate of cos(theta_1) per branch:
-    1 - N^(alpha-2), 1 - 1/(2N), 1 - 1/N."""
-    branch = Branch.of(alpha)
-    if n_clique < 3:
-        raise ValueError(f"n_clique must be at least 3, got {n_clique}")
-    n = float(n_clique)
-    if branch is Branch.SUB:
-        return 1.0 - n ** (alpha - 2.0)
-    if branch is Branch.CRITICAL:
-        return 1.0 - 0.5 / n
-    return 1.0 - 1.0 / n
-
-
-def theta1_approx(n_clique: int, alpha: float) -> float:
-    """Small-angle estimate of the principal angle, via the branch cosine.
-
-    Evaluates sqrt(1 - c^2) for the branch estimate c, which reproduces
-    sqrt(2) N^((alpha-2)/2), N^(-1/2) and sqrt(2) N^(-1/2) to leading order.
-    """
-    c = cos_theta1_approx(n_clique, alpha)
-    return math.sqrt((1.0 - c) * (1.0 + c))
-
-
-def probability_approx(n_clique: int, alpha: float, t: int) -> float:
-    """Leading-order hub probability sin^2(t theta_1) / 2, with the exact
-    principal angle for m = floor(N^alpha) and the o(1) remainder dropped."""
-    return float(hub_series(n_clique, alpha, [t])[0][0])
-
-
 def optimal_time_exact(n_clique: int, n_leaves: int) -> int:
-    """floor(pi / (2 theta_1)) with the exact principal angle."""
+    """floor(pi / (2 theta_1)) with the exact principal angle, exact at
+    every size.
+
+    The float64 quotient is floored where QUOTIENT_ERROR keeps it clear of
+    an integer, which holds nearly always below t_opt = 1e12 and never from
+    2^45 (3.5e13) on; elsewhere the floor is taken at 45 digits.
+    """
     theta_1 = discriminant_angles(n_clique, n_leaves).theta_1
-    return int(math.floor(math.pi / (2.0 * theta_1)))
+    quotient = math.pi / (2.0 * theta_1)
+    t = math.floor(quotient)
+    slack = quotient * QUOTIENT_ERROR
+    if quotient - t > slack and t + 1 - quotient > slack:
+        return t
+    return _decimal_optimal_time(n_clique, n_leaves)
+
+
+def _decimal_optimal_time(n_clique: int, n_leaves: int) -> int:
+    """floor(pi / (4 asin(sin(theta_1 / 2)))) at 45 significant digits,
+    with 1 - cos(theta_1) in the cancellation-free form of
+    ``discriminant_angles`` and asin by its Taylor series."""
+    with localcontext() as ctx:
+        ctx.prec = 45
+        n, m = Decimal(n_clique), Decimal(n_leaves)
+        trace = (n - 2) / (n - 1)
+        root = (trace * trace + 4 / (n + m - 1)).sqrt()
+        one_minus_cos_1 = 2 * m / ((n - 1) * (n + m - 1)) / ((2 - trace) + root)
+        x = (one_minus_cos_1 / 2).sqrt()  # sin(theta_1 / 2), at most 1/2
+        # asin(x) = sum over k of (2k)! / (4^k k!^2) x^(2k+1) / (2k+1)
+        x_sq, power, total, k = x * x, x, x, 0
+        while True:
+            k += 1
+            power = power * x_sq * (2 * k - 1) / (2 * k)
+            step = total + power / (2 * k + 1)
+            if step == total:
+                break
+            total = step
+        return int((_PI / (4 * total)).to_integral_value(rounding=ROUND_FLOOR))
 
 
 def optimal_time_branch(n_clique: int, alpha: float) -> int:
@@ -96,65 +105,20 @@ def optimal_time_branch(n_clique: int, alpha: float) -> int:
     return int(math.floor(math.pi / (2.0 * math.sqrt(2.0)) * math.sqrt(n)))
 
 
-@dataclass(frozen=True)
-class CoefficientEstimates:
-    """Branch leading terms of the expansion coefficients at time t, plus
-    magnitude bounds on everything that is o(1).
-
-    The bounds are computed from the exact spectral quantities: the second
-    rotating pair's products are bounded by |c2| times the phase-free
-    suprema of k2 and s2, and the parity magnitudes are exact.
-    """
-
-    branch: Branch
-    c1: float
-    k1: float
-    s1: float
-    c2k2_bound: float
-    c2s2_bound: float
-    r_clique_bound: float
-    r_star_bound: float
-
-
-def _leading_scales(n: float, alpha: float) -> tuple[float, ...]:
-    """Branch leading terms (c1, k1 / sin(t theta_1), s1 / sin(t theta_1))."""
-    branch = Branch.of(alpha)
-    if branch is Branch.SUB:
-        c1 = n ** ((1.0 - alpha) / 2.0) / math.sqrt(2.0)
-        return c1, n ** (alpha - 1.0), n ** ((alpha - 1.0) / 2.0)
-    if branch is Branch.CRITICAL:
-        return 1.0, 0.5, 0.5
-    return 1.0 / math.sqrt(2.0), 1.0, 0.0
-
-
-def coefficient_estimates(n_clique: int, alpha: float, t: int) -> CoefficientEstimates:
-    """Leading-order c1, k1, s1 at time t and o(1) bounds for the rest."""
-    branch = Branch.of(alpha)
-    m = leaves_from_alpha(n_clique, alpha)
-    ang = discriminant_angles(n_clique, m)
-    oscillation = math.sin(t * ang.theta_1)
-    c1, k_scale, s_scale = _leading_scales(float(n_clique), alpha)
-    exact = _oscillator_coefficients(n_clique, m, ang, t, TABULATED_SECOND_OFFSET)
-    hub_weight = 1.0 / (n_clique + m - 1)
-    k2_sup = abs(ang.cos_theta_2) + (n_clique - 1) * hub_weight
-    s2_sup = math.sqrt(m * (n_clique - 1)) * hub_weight
-    return CoefficientEstimates(
-        branch=branch,
-        c1=c1,
-        k1=k_scale * oscillation,
-        s1=s_scale * oscillation,
-        c2k2_bound=abs(exact.c2) * k2_sup,
-        c2s2_bound=abs(exact.c2) * s2_sup,
-        r_clique_bound=abs(exact.r_clique),
-        r_star_bound=abs(exact.r_star),
-    )
-
-
 def hub_series(n_clique: int, alpha: float, times: Sequence[int]) -> HubSeries:
     """Leading-order hub series: p = sin^2(t theta_1) / 2 and the amplitudes
     c1 k1 and -c1 s1, whose squared moduli sum to (1 + N^(alpha-1)) p
     below the transition."""
-    c1, k_scale, s_scale = _leading_scales(float(n_clique), alpha)
+    branch = Branch.of(alpha)
+    # c1, and k1 and s1 over sin(t theta_1), per branch
+    if branch is Branch.SUB:
+        n = float(n_clique)
+        c1 = n ** ((1.0 - alpha) / 2.0) / math.sqrt(2.0)
+        k_scale, s_scale = n ** (alpha - 1.0), n ** ((alpha - 1.0) / 2.0)
+    elif branch is Branch.CRITICAL:
+        c1, k_scale, s_scale = 1.0, 0.5, 0.5
+    else:
+        c1, k_scale, s_scale = 1.0 / math.sqrt(2.0), 1.0, 0.0
     theta_1 = discriminant_angles(n_clique, leaves_from_alpha(n_clique, alpha)).theta_1
     oscillation = np.sin(step_counts(times) * theta_1)
     clique_in = (c1 * (k_scale * oscillation)).astype(np.complex128)

@@ -28,6 +28,7 @@ from . import asymptotics as asym
 from . import collapsed as cw
 from . import full_walk as fw
 from . import spectral
+from .audit import audit_closed_forms
 from .graph import LeafPhase, build_graph, leaves_from_alpha
 from .trace import ProbabilityTrace, trace_metadata
 from .verify import run_checks
@@ -191,7 +192,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     fmt = args.format or "json"
     if fmt != "json":
         raise ConfigError("spectrum reports are JSON only")
-    audit = spectral.audit_closed_forms(sizes.n, sizes.m)
+    audit = audit_closed_forms(sizes.n, sizes.m)
     worst = np.max(audit.report.residuals)  # a NaN residual fails, as in verify
     if not worst < spectral.RESIDUAL_TOLERANCE:
         print(

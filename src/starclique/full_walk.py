@@ -258,19 +258,6 @@ def _hub_probability(incoming: np.ndarray) -> np.ndarray:
     return np.matmul(parts[..., None, :], parts[..., :, None])[..., 0, 0]
 
 
-def vertex_probability(graph: GluedGraph, state: WalkState, vertex: int) -> float:
-    """Probability of finding the walker at ``vertex``: sum of |amplitude|^2
-    over arcs terminating there."""
-    if not 0 <= vertex < graph.n_vertices:
-        raise ValueError(f"unknown vertex id {vertex}")
-    if vertex >= graph.n_clique:
-        return float(abs(state.star_out[vertex - graph.n_clique]) ** 2)
-    if vertex == HUB:
-        return float(_hub_probability(np.concatenate((state.clique[:, HUB], state.star_in))))
-    incoming = state.clique[:, vertex]
-    return float(np.vdot(incoming, incoming).real)
-
-
 def collapse(graph: GluedGraph, state: WalkState) -> CollapsedState:
     """Project onto the class-uniform space: per class, sum / sqrt(size)."""
     block = state.clique

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import starclique as sc
-from starclique.asymptotics import Branch, theory_exponent
+from starclique.asymptotics import QUOTIENT_ERROR, Branch, theory_exponent
+from starclique.audit import TABULATED_SECOND_OFFSET, _oscillator_coefficients
 
 
 def test_branch_classification():
@@ -17,37 +18,52 @@ def test_branch_classification():
 
 
 def test_theta1_approx_examples():
-    assert sc.theta1_approx(100, 0.0) == pytest.approx(0.014142, abs=1e-5)
-    assert sc.theta1_approx(100, 1.0) == pytest.approx(0.1, abs=1e-3)
+    # the branch angles sqrt(2) N^((alpha-2)/2) and N^(-1/2) that
+    # optimal_time_branch reads, through floor(pi / (2 theta))
+    assert sc.optimal_time_branch(100, 0.0) == math.floor(math.pi / (2 * 0.014142))
+    assert sc.optimal_time_branch(100, 1.0) == math.floor(math.pi / (2 * 0.1))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 def test_theta1_approx_close_to_exact(alpha):
+    # the branch angle against the exact one, through the optimal times
     n = 10**6
     m = sc.leaves_from_alpha(n, alpha)
-    exact = sc.discriminant_angles(n, m).theta_1
-    approx = sc.theta1_approx(n, alpha)
+    exact = sc.optimal_time_exact(n, m)
+    approx = sc.optimal_time_branch(n, alpha)
     assert abs(approx - exact) / exact < 0.01
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5])
 def test_cos_estimate_consistency(alpha):
-    # 1 - cos(theta_1), exact over estimated, tends to 1
+    # 1 - cos(theta_1), exact over the branch estimate, tends to 1; the
+    # estimate is the angle pi / (2 t) of the branch time t
     n = 10**6
     m = sc.leaves_from_alpha(n, alpha)
     exact = sc.discriminant_angles(n, m).cos_theta_1
-    estimate = sc.cos_theta1_approx(n, alpha)
-    ratio = (1.0 - exact) / (1.0 - estimate)
+    theta = math.pi / (2 * sc.optimal_time_branch(n, alpha))
+    ratio = (1.0 - exact) / (2.0 * math.sin(0.5 * theta) ** 2)
     assert abs(ratio - 1.0) < 0.02
 
 
+def _tabulated(n, m, t):
+    """The audit's oscillator coefficients at time t, tabulated offset."""
+    return _oscillator_coefficients(
+        n, m, sc.discriminant_angles(n, m), t, TABULATED_SECOND_OFFSET
+    )
+
+
 def test_coefficient_estimates_sub_branch():
-    n = 10**6
-    est = sc.coefficient_estimates(n, 0.0, t=0)
-    assert est.branch is Branch.SUB
-    assert est.c1 == pytest.approx(1000 / math.sqrt(2), rel=1e-12)
-    exact_c1 = sc.closed_form_amplitudes(n, 1, 0).coefficients.c1
-    assert abs(exact_c1 - est.c1) / est.c1 < 0.01
+    # below the transition the leading-order clique amplitude is c1 k1,
+    # c1 = N^(1/2) / sqrt(2) and k1 = sin(t theta_1) / N
+    n, t = 10**6, 1000
+    assert Branch.of(0.0) is Branch.SUB
+    theta_1 = sc.discriminant_angles(n, 1).theta_1
+    clique_in = sc.asymptotics.hub_series(n, 0.0, [t])[1][0]
+    c1 = clique_in.real / (math.sin(t * theta_1) / n)
+    assert c1 == pytest.approx(1000 / math.sqrt(2), rel=1e-12)
+    exact_c1 = _tabulated(n, 1, 0).c1
+    assert abs(exact_c1 - c1) / c1 < 0.01
 
 
 def test_coefficient_estimates_critical_branch():
@@ -55,25 +71,27 @@ def test_coefficient_estimates_critical_branch():
     m = sc.leaves_from_alpha(n, 1.0)
     theta_1 = sc.discriminant_angles(n, m).theta_1
     t = round(math.pi / (2 * theta_1))  # sin(t theta_1) ~ 1
-    exact = sc.closed_form_amplitudes(n, m, t).coefficients
+    exact = _tabulated(n, m, t)
     assert abs(exact.k1 - 0.5) / 0.5 < 0.01
     assert abs(exact.s1 - 0.5) / 0.5 < 0.01
-    est = sc.coefficient_estimates(n, 1.0, t)
-    assert est.k1 == pytest.approx(0.5 * math.sin(t * theta_1), rel=1e-12)
-    assert est.s1 == pytest.approx(0.5 * math.sin(t * theta_1), rel=1e-12)
+    # c1 = 1 at the transition, so the amplitudes are k1 and -s1
+    _, clique_in, star_in = sc.asymptotics.hub_series(n, 1.0, [t])
+    assert clique_in[0].real == pytest.approx(0.5 * math.sin(t * theta_1), rel=1e-12)
+    assert star_in[0].real == pytest.approx(-0.5 * math.sin(t * theta_1), rel=1e-12)
 
 
 def test_coefficient_estimates_remainder_bounds():
     n = 10**4
-    est = sc.coefficient_estimates(n, 2.0, t=0)
-    assert est.branch is Branch.SUPER
-    assert est.r_clique_bound < 0.1
-    assert est.r_star_bound < 1e-3
+    assert Branch.of(2.0) is Branch.SUPER
+    exact = _tabulated(n, sc.leaves_from_alpha(n, 2.0), 0)
+    assert abs(exact.r_clique) < 0.1
+    assert abs(exact.r_star) < 1e-3
 
 
 def test_probability_approx_values():
-    assert sc.probability_approx(100, 0.0, 0) == 0.0
-    assert sc.probability_approx(100, 0.0, 111) == pytest.approx(0.5, abs=1e-3)
+    p = sc.asymptotics.hub_series(100, 0.0, [0, 111])[0]
+    assert p[0] == 0.0
+    assert p[1] == pytest.approx(0.5, abs=1e-3)
 
 
 def test_probability_approx_tracks_collapsed_oracle():
@@ -83,9 +101,7 @@ def test_probability_approx_tracks_collapsed_oracle():
     t_opt = sc.optimal_time_exact(n, m)
     ops = sc.build_reduced_operators(n, m)
     trace = sc.evolve_collapsed(ops, sc.collapsed_initial_state(n, m), 10 * t_opt)
-    envelope = np.array(
-        [sc.probability_approx(n, alpha, int(t)) for t in trace.times]
-    )
+    envelope = sc.asymptotics.hub_series(n, alpha, trace.times)[0]
     assert np.abs(envelope - trace.p_hub).max() < 0.05
 
 
@@ -93,6 +109,41 @@ def test_optimal_time_exact_examples():
     assert sc.optimal_time_exact(100, 1) == 111
     assert sc.optimal_time_exact(100, 10) == 36
     assert sc.optimal_time_exact(100, 100) == 15
+    # beyond 2^53, where a float64 floor is off by up to 196
+    assert sc.optimal_time_exact(7 * 10**18, 1) == 7775045141777140932
+    assert sc.optimal_time_exact(2**53 + 1, 1) == 10004482972370377
+    assert sc.optimal_time_exact(17782794100389228, 1) == 19751718125350638
+
+
+def _reference_optimal_time(mp, n, m):
+    """floor(pi / (2 theta_1)) at 120 digits, theta_1 = acos(cos(theta_1))
+    taken as 2 asin(sqrt((1 - cos(theta_1)) / 2))."""
+    with mp.workdps(120):
+        big_n, big_m = mp.mpf(n), mp.mpf(m)
+        trace = (big_n - 2) / (big_n - 1)
+        cos_1 = (trace + mp.sqrt(trace * trace + 4 / (big_n + big_m - 1))) / 2
+        theta_1 = 2 * mp.asin(mp.sqrt((1 - cos_1) / 2))
+        return int(mp.floor(mp.pi / (2 * theta_1)))
+
+
+@pytest.mark.parametrize(
+    "n", [3, 4, 10, 100, 10**3, 10**4, 10**6, 10**9, 10**12, 10**14, 10**15,
+          10**16, 17782794100389228, 2**53 + 1, 10**17, 10**18, 7 * 10**18]
+)
+def test_optimal_time_exact_matches_120_digit_reference(n):
+    mp = pytest.importorskip("mpmath")
+    for m in sorted({1, math.isqrt(n), n, n * n}):
+        assert sc.optimal_time_exact(n, m) == _reference_optimal_time(mp, n, m), (n, m)
+
+
+def test_optimal_time_exact_near_an_integer():
+    # pi / (2 theta_1) lies 1.3e-5 above an integer, closer than float64
+    # resolves at 3.3e13: the float quotient floors one below it
+    mp = pytest.importorskip("mpmath")
+    n = 30000000000490
+    quotient = math.pi / (2 * sc.discriminant_angles(n, 1).theta_1)
+    assert math.ceil(quotient) - quotient < quotient * QUOTIENT_ERROR
+    assert sc.optimal_time_exact(n, 1) == _reference_optimal_time(mp, n, 1) == 33321622036732
 
 
 def test_optimal_time_branch_examples():
@@ -159,7 +210,7 @@ def test_asymptotic_series_rejects_bad_step_counts(bad):
 @pytest.mark.parametrize("t", [-1, 2**63])
 def test_probability_approx_rejects_bad_step_count(t):
     with pytest.raises(ValueError, match="^step counts must be"):
-        sc.probability_approx(100, 0.5, t)
+        sc.asymptotics.hub_series(100, 0.5, [t])
 
 
 def test_asymptotic_series_reads_int64_step_counts_exactly():

@@ -446,20 +446,24 @@ def test_real_dynamics_from_uniform_state():
 
 
 def test_vertex_probability_partitions_unity():
+    # per-vertex probabilities, |amplitude|^2 summed by terminus, add to 1,
+    # and the hub's is the oracle's p_hub
     g = sc.build_graph(9, 4)
     state = next(random_walk_states(g, 1, seed=11))
-    total = sum(sc.vertex_probability(g, state, v) for v in range(g.n_vertices))
-    assert total == pytest.approx(1.0, abs=1e-12)
+    table = arc_table.build(9, 4)
+    per_vertex = np.bincount(table.terminus, np.abs(arc_amplitudes(state)) ** 2)
+    assert per_vertex.sum() == pytest.approx(1.0, abs=1e-12)
+    p_hub = hub_series(g, state, LeafPhase.REVERSAL, [0])[0][0]
+    assert p_hub == pytest.approx(per_vertex[HUB], abs=1e-12)
 
 
 def test_vertex_probability_of_initial_state():
     g = sc.build_graph(10, 2)
     state = sc.initial_state(g)
-    assert sc.vertex_probability(g, state, HUB) == pytest.approx(0.1, abs=1e-14)
-    for leaf in (10, 11):
-        assert sc.vertex_probability(g, state, leaf) == 0.0
-    with pytest.raises(ValueError):
-        sc.vertex_probability(g, state, 99)
+    p_hub = hub_series(g, state, LeafPhase.REVERSAL, [0])[0][0]
+    assert p_hub == pytest.approx(0.1, abs=1e-14)
+    # a leaf's probability is that of the one arc into it
+    assert not state.star_out.any()
 
 
 @pytest.mark.parametrize("n,m", [(3, 1), (100, 10)])

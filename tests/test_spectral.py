@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import starclique as sc
+from starclique import audit
 from starclique import spectral as sp
 from starclique.graph import ArcClass
 
@@ -54,10 +55,17 @@ def test_root_identities(n, m):
 
 
 def test_discriminant_eigenvectors_residuals_and_orthogonality():
+    # in vertex-class order (clique, leaves, hub) the eigenvector for
+    # cos(theta_x) is (cos(theta_x), 0, 1/sqrt(N+m-1)), of squared norm
+    # vector_normalization_sq: the vectors the eigenbasis is built on
     n, m = 100, 10
     ops = sc.build_reduced_operators(n, m)
     ang = sc.discriminant_angles(n, m)
-    f1, f2 = sc.discriminant_eigenvectors(n, m)
+    f1, f2 = (
+        np.array([cos_x, 0.0, 1 / math.sqrt(n + m - 1)])
+        / math.sqrt(sp.vector_normalization_sq(n, m, x))
+        for x, cos_x in ((1, ang.cos_theta_1), (2, ang.cos_theta_2))
+    )
     assert np.linalg.norm(ops.discriminant @ f1 - ang.cos_theta_1 * f1) < 1e-12
     assert np.linalg.norm(ops.discriminant @ f2 - ang.cos_theta_2 * f2) < 1e-12
     assert abs(np.dot(f1, f2)) < 1e-12
@@ -120,7 +128,7 @@ def test_rotating_closed_form_star_component():
     # the outgoing star component before the global prefactor is sqrt(m)/(N+m-1)
     n, m = 100, 10
     ang = sc.discriminant_angles(n, m)
-    vec = sp.rotating_eigenvector_closed_form(n, m, 1, 1)
+    vec = audit.rotating_eigenvector_closed_form(n, m, 1, 1)
     prefactor = math.sqrt(2.0 * sp.vector_normalization_sq(n, m, 1)) * abs(
         math.sin(ang.theta_1)
     )
@@ -133,14 +141,14 @@ def test_rotating_closed_forms_are_unit_norm():
     for n, m in [(10, 3), (100, 10)]:
         for x in (1, 2):
             for sign in (1, -1):
-                vec = sp.rotating_eigenvector_closed_form(n, m, x, sign)
+                vec = audit.rotating_eigenvector_closed_form(n, m, x, sign)
                 assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sign_swap_detected_with_tiny_deviation():
     # the closed-form rotating vectors are exact eigenvectors, but of the
     # conjugate eigenvalue relative to their label
-    report = sc.walk_eigensystem(10, 3)
+    report = sc.audit_closed_forms(10, 3).report
     for pair in report.eigenpairs[:4]:
         assert pair.sign_swapped
         assert pair.closed_form_deviation < 1e-10
@@ -154,7 +162,7 @@ def test_flip_normalization_exact_vs_expansion():
     exact = sp.flip_normalization_sq(n, m)
     assert exact == pytest.approx(float(pattern @ pattern), rel=1e-14)
     # the expansion form differs in a subleading term (2(N-1) vs 2(N-2))
-    expansion = sp.flip_normalization_sq_expansion(n, m)
+    expansion = audit.flip_normalization_sq_expansion(n, m)
     assert expansion - exact == pytest.approx(2.0, abs=1e-9)
     unit = pattern / math.sqrt(exact)
     assert np.linalg.norm(unit) == pytest.approx(1.0, abs=1e-14)
@@ -172,10 +180,11 @@ def test_closed_form_amplitudes_t0_within_remainder():
     devs = []
     for n in (100, 1000, 10000):
         m = sc.leaves_from_alpha(n, 0.5)
-        pair = sc.closed_form_amplitudes(n, m, 0)
-        dev = max(
-            abs(pair.psi_clique_in - 1 / math.sqrt(n)), abs(pair.psi_star_in)
+        coeff = audit._oscillator_coefficients(
+            n, m, sc.discriminant_angles(n, m), 0, audit.TABULATED_SECOND_OFFSET
         )
+        clique_in, star_in = audit._expansion(coeff, 0)
+        dev = max(abs(clique_in - 1 / math.sqrt(n)), abs(star_in))
         devs.append(dev)
     assert devs[0] < 0.5
     assert devs[2] < 0.05
@@ -237,8 +246,9 @@ def test_audit_reports_expected_flags():
 
 
 def test_negative_time_rejected():
+    # the closed-form amplitudes come from the eigenbasis evaluator
     with pytest.raises(ValueError):
-        sc.closed_form_amplitudes(10, 3, -1)
+        sc.EigenbasisEvaluator(10, 3).state_series([-1])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import starclique as sc
-from starclique import full_walk, verify
+from starclique import cli, full_walk, verify
 from starclique.cli import main
 from starclique.graph import LeafPhase
 
@@ -324,13 +324,13 @@ def test_nan_residual_fails_spectral_residuals(monkeypatch):
 
 
 def test_nan_residual_fails_spectrum(tmp_path, capsys, monkeypatch):
-    audit = sc.spectral.audit_closed_forms
+    audit = cli.audit_closed_forms
 
     def faulty(n_clique, n_leaves):
         got = audit(n_clique, n_leaves)
         return dataclasses.replace(got, report=_nan_second_residual(got.report))
 
-    monkeypatch.setattr(sc.spectral, "audit_closed_forms", faulty)
+    monkeypatch.setattr(cli, "audit_closed_forms", faulty)
     out = tmp_path / "spectrum.json"
     assert main(["spectrum", "--n", "100", "--m", "10", "--out", str(out)]) == 1
     err = capsys.readouterr().err
