@@ -3,9 +3,10 @@ diagrams, and cross-evaluator verification, all emitting machine-readable
 files.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 resource budget exceeded, 4 output file cannot be written.  Output files
-are written to a temporary name and renamed into place, so a partial file
-is never left behind; nothing is written at all on a configuration error.
+3 resource budget exceeded or out of memory, 4 output file cannot be
+written.  Output files are written to a temporary name and renamed into
+place, with the mode a plain ``open`` would give them, so a partial file is
+never left behind; nothing is written at all on a configuration error.
 Relative --out paths resolve against $STARCLIQUE_OUT_DIR when it is set.
 """
 
@@ -58,7 +59,7 @@ class OutputError(Exception):
 
 
 #: Exit code of each failure that ``main`` reports in one line.
-_EXIT_CODES = {ConfigError: 2, ValueError: 2, ArcBudgetError: 3, OutputError: 4}
+_EXIT_CODES = {ConfigError: 2, ValueError: 2, ArcBudgetError: 3, MemoryError: 3, OutputError: 4}
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,9 @@ def _atomic_write(path: str, write) -> None:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".starclique-", suffix=".tmp")
         with os.fdopen(fd, "w") as stream:
             write(stream)
+        umask = os.umask(0)  # read it: os.umask sets as it returns
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # as open(path, "w") makes it; mkstemp's is 0600
         os.replace(tmp, path)
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -171,7 +175,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.mode == "full":
         _check_arc_budget(sizes, args.arc_budget)
         graph = build_graph(sizes.n, sizes.m)
-        series = partial(fw.hub_series, graph, None, phase)  # the uniform start
+        series = partial(fw.hub_series, graph, phase)
     elif args.mode == "collapsed":
         ops = cw.build_reduced_operators(sizes.n, sizes.m, phase)
         start = cw.collapsed_initial_state(sizes.n, sizes.m)
@@ -412,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 

@@ -10,28 +10,26 @@ The clique is complete, so its arc amplitudes form one N x N block
 ``clique[u, w]`` (arc u -> w, zero diagonal) and the star's form two
 length-m vectors.  The clique coin is a rank-one reflection: it sends the
 block A to 1gᵀ - A, with g the incoming sums times 2/deg, and the shift
-transposes the result.  So from a start block X every later block keeps
-the form
+transposes the result.  So a block 1aᵀ + b1ᵀ + diag(d), with length-N
+vectors a and b and d whatever makes the diagonal zero, keeps that form,
+and a step updates a, b and the star vectors on preallocated buffers:
+O(N + m) work.  The uniform start is one (a = c·1, b = 0, d = -c·1), so
+``hub_series`` and ``evolve``, which run from it, hold O(N + m) memory and
+no N x N array.  The probe reads the hub column a[HUB] + b in O(N), a
+block of rows at a time, so that per step it makes one numpy add and one
+copy and the rest of its calls run once per block.  One kernel,
+``_advance``, runs every step for ``step``, ``hub_series`` and ``evolve``,
+and for ``verify``'s random-state checks.  It does not use the five-class
+symmetry, so it checks ``collapsed`` independently.  It also starts from
+an ``_Affine`` start, a and b given: the lift of five class amplitudes is
+one (``_lifted``), so a step from lift(collapse(psi)) costs O(N + m).
 
-    A_t = s·Y + 1aᵀ + b1ᵀ + diag(d),   s = (-1)^t,  Y = X (t even) or Xᵀ (t odd),
-
-with length-N vectors a and b, and d whatever makes the diagonal zero.  A
-step updates a, b and the star vectors from X's column and row sums,
-taken once, on preallocated buffers: O(N + m) work for any start.  The
-probe reads the hub column s·Y[:, HUB] + a[HUB] + b in O(N), a block of
-rows at a time, so that per step it makes one numpy add and one copy and
-the rest of its calls run once per block.  The uniform
-start is X = 0, a = c·1, b = 0, d = -c·1, so ``hub_series`` and ``evolve``
-from it (``None``) hold O(N + m) memory and no N x N array; a given start
-is only read.  Only ``step`` builds a block: the one it returns, in one
-allocation.  One kernel, ``_advance``, runs every step for
-``step``, ``hub_series`` and ``evolve``, and for ``verify``'s random-state
-checks.  It does not use the five-class symmetry, so it checks
-``collapsed`` independently.  It also starts from an ``_Affine`` start,
-X = 0 with a and b given: the lift of five class amplitudes is one
-(``_lifted``), so a step from lift(collapse(psi)) costs O(N + m).
-``verify`` reads the random states' steps, both leaf phases and the
-commutation's two sides, as these vectors and ``_off_diagonal_square``
+A given block X leaves b1ᵀ - Xᵀ after one step, b its scaled column sums,
+and the kernel takes that one step only: ``step`` and ``verify`` call it
+so, and only ``step`` builds a block, the one it returns, in one
+allocation.  A given state evolves further by iterating ``step``, O(N^2)
+per step.  ``verify`` reads the random states' steps, both leaf phases and
+the commutation's two sides, as these vectors and ``_off_diagonal_square``
 takes the commutation's norm from them: a state's block is read only by
 reductions (column sums, squared norm) and the involution's compare, and
 no N x N array is built but the draw and that compare's difference.  Its
@@ -53,8 +51,8 @@ step through the optimal time it is within 1.3e-13 of
 
 From the uniform start the walk is real (a real coin, leaf phase +-1), so
 ``initial_state`` is float64 and the oracle runs in real arithmetic.  The
-step, shift, probability and projection work for any dtype, so complex
-states evolve as before.
+step, shift and projections work for any dtype, so a complex state steps
+in complex arithmetic.
 
 The public functions never write to their inputs; a state can be handed
 between threads and parameter sweeps can run concurrently on independent
@@ -105,23 +103,6 @@ def shift(graph: GluedGraph, state: WalkState) -> WalkState:
     return WalkState(state.clique.T, state.star_out, state.star_in, state.time)
 
 
-def _sum_terms(block: np.ndarray, column: np.ndarray) -> tuple:
-    """s times the column sums of Y off the diagonal, for the even and the
-    odd steps after the first, each as (2/(N-1) times the vector, its hub
-    entry).  The kernel adds them in every step, so their rounding acts as
-    a constant forcing and must be small and alike for rows and columns:
-    both are pairwise sums along a contiguous axis, for which the columns
-    take one transposed copy of the block.  (The column sums accumulated
-    row by row, against pairwise row sums, drifted the uniform series
-    2.5e-13 from the closed form over 1000 steps at (200, 1); these keep it
-    at 2.1e-14.)"""
-    factor = 2.0 / (block.shape[0] - 1)
-    diagonal = block.diagonal()
-    even = np.add.reduce(np.ascontiguousarray(block.T), axis=1, dtype=column.dtype) - diagonal
-    odd = diagonal - np.add.reduce(np.ascontiguousarray(block), axis=1, dtype=column.dtype)
-    return (factor * even, even[HUB]), (factor * odd, odd[HUB])  # odd: Y = Xᵀ, s = -1
-
-
 class _Affine(NamedTuple):
     """A structured start with X = 0: the clique block 1aᵀ + b1ᵀ off its
     diagonal (entry u -> w is a[w] + b[u]), and the star vectors.  A step
@@ -143,22 +124,22 @@ def _check_shapes(arrays, needed) -> None:
 def _advance(graph: GluedGraph, state: WalkState | _Affine | None, leaf_phase: LeafPhase, steps):
     """The step kernel: an iterator of ``(a, b, star_in, star_out)`` after
     each of the ascending step counts ``steps`` from ``state``: ``None`` (the
-    uniform start, X = 0 and a = c·1), a ``WalkState`` or an ``_Affine``
-    start.  After t steps the block is s·Y + 1aᵀ + b1ᵀ off its diagonal;
-    ``hub_series`` and ``_clique`` read it.  The yielded arrays are the
+    uniform start, a = c·1), an ``_Affine`` start or a ``WalkState``.  After
+    t steps the block is 1aᵀ + b1ᵀ off its diagonal; ``hub_series`` reads
+    it.  A ``WalkState``'s block X is carried one step only, to b1ᵀ - Xᵀ
+    (``_clique``), so a later step count raises.  The yielded arrays are the
     kernel's own and change on the next step.  The start is checked and read
     on the call, so a bad one raises even when no step is asked for.
 
     With f = 2/(N-1) the incoming sums of the block are
-    g[w] = s·cs[w] + (N-1)a[w] - b[w] + sum(b) (cs: column sums of Y off the
-    diagonal), and the coin and shift give a' = -b and b' = f·g - a; the
-    hub's entry of g takes the star's sum and 2/(N - 1 + m).  A given start
-    enters with a = b = 0, so its first step only places its scaled column
-    sums, diagonal included, in b and leaves a zero.  Its row sums are taken
-    only if a second step is asked for.
+    g[w] = (N-1)a[w] - b[w] + sum(b), and the coin and shift give a' = -b and
+    b' = f·g - a; the hub's entry of g takes the star's sum and
+    2/(N - 1 + m).  A given start enters with a = b = 0, so its step only
+    places its scaled column sums, diagonal included, in b and leaves a
+    zero.
     """
     n, m = graph.n_clique, graph.n_leaves
-    column = terms = None
+    column = None
     if state is None:
         a = np.full(n, 1.0 / math.sqrt(n * (n - 1)))
         b, star_in, star_out = np.zeros(n), np.zeros(m), np.zeros(m)
@@ -171,18 +152,20 @@ def _advance(graph: GluedGraph, state: WalkState | _Affine | None, leaf_phase: L
     else:
         arrays = (state.clique, state.star_in, state.star_out)
         _check_shapes(arrays, ((n, n), (m,), (m,)))
+        if len(steps) and steps[-1] > 1:
+            raise ValueError(
+                "a given state is stepped once per call; iterate step to evolve it further"
+            )
         dtype = np.result_type(*arrays, np.float64)
         a, b = np.zeros(n, dtype), np.zeros(n, dtype)
         star_in, star_out = np.array(state.star_in, dtype), np.array(state.star_out, dtype)
         a_sum = 0.0
         column = np.add.reduce(state.clique, axis=0, dtype=dtype)
-        if len(steps) and steps[-1] > 1:
-            terms = _sum_terms(state.clique, column)
     reverse = leaf_phase is LeafPhase.REVERSAL
-    return _steps(a, b, star_in, star_out, a_sum, column, terms, reverse, steps)
+    return _steps(a, b, star_in, star_out, a_sum, column, reverse, steps)
 
 
-def _steps(a, b, star_in, star_out, a_sum, column, terms, reverse, steps):
+def _steps(a, b, star_in, star_out, a_sum, column, reverse, steps):
     """``_advance``'s loop, on its own copies of the start's vectors."""
     n, m = a.size, star_in.size
     scratch = np.empty_like(a)
@@ -190,7 +173,7 @@ def _steps(a, b, star_in, star_out, a_sum, column, terms, reverse, steps):
     done = 0
     for t in steps:
         for done in range(done, t):
-            if done == 0 and column is not None:
+            if column is not None:  # the one step from a given block
                 b_sum = shift_k = 0.0
                 np.multiply(column, factor, out=scratch)
                 hub_in = column[HUB] + star_in.sum()
@@ -200,10 +183,6 @@ def _steps(a, b, star_in, star_out, a_sum, column, terms, reverse, steps):
                 np.multiply(b, -factor, out=scratch)
                 scratch += a  # the new b, less its constant: a - f b (f(N-1) = 2)
                 hub_in = (n - 1) * a[HUB] - b[HUB] + b_sum + star_in.sum()
-                if terms is not None:
-                    term, term_hub = terms[done & 1]
-                    scratch += term
-                    hub_in += term_hub
                 scratch += factor * b_sum - shift_k
                 np.subtract(shift_k, b, out=b)  # the new a
             g_hub = hub_factor * hub_in
@@ -329,50 +308,34 @@ def _off_diagonal_square(a: np.ndarray, b: np.ndarray) -> float:
     return n * (n - 1) * abs(mean_a + mean_b) ** 2 + spread.real
 
 
-def hub_series(
-    graph: GluedGraph, state: WalkState | None, leaf_phase: LeafPhase, times
-) -> HubSeries:
-    """Hub series after each of the ascending step counts ``times`` from
-    ``state``; p_hub is measured on the arcs into the hub.  ``None`` starts
-    from the uniform state without building it: O(N + m) memory.  A given
-    state is never written; beyond one step, its column sums take one
-    transposed copy of its block.
+def hub_series(graph: GluedGraph, leaf_phase: LeafPhase, times) -> HubSeries:
+    """Hub series of the uniform start after each of the ascending step
+    counts ``times``; p_hub is measured on the arcs into the hub.  The start
+    is never built: O(N + m) memory.
 
     The probe runs a block of rows at a time: each step writes b + a[HUB]
     and its star vector into one row of a buffer of at most
     ``_PROBE_ELEMENTS`` entries (at least one row), and a few vectorised
-    calls per block then complete the hub columns s·Y[:, HUB] + a[HUB] + b,
-    whose diagonal entry is the start's before the first step and 0 after
-    (the uniform start's is 0 too), and read their p_hub and the two
-    hub-bound class amplitudes of ``collapse``."""
+    calls per block then zero the hub columns' diagonal entry and read their
+    p_hub and the two hub-bound class amplitudes of ``collapse``."""
     steps = ascending_steps(times)
     n, m = graph.n_clique, graph.n_leaves
     p = np.empty(len(steps), dtype=np.float64)
     clique_in = np.empty(len(steps), dtype=np.complex128)
     star_in = np.empty(len(steps), dtype=np.complex128)
-    start = None if state is None else state.clique
     rows = max(1, min(len(steps), _PROBE_ELEMENTS // (n + m)))
-    block = None
-    walk = _advance(graph, state, leaf_phase, steps)
+    block = np.empty((rows, n + m))
+    walk = _advance(graph, None, leaf_phase, steps)
     for low in range(0, len(steps), rows):
         chunk = steps[low : low + rows]
         for row, (a, b, leaves_in, _) in zip(range(len(chunk)), walk):
-            if block is None:
-                block = np.empty((rows, n + m), b.dtype)
             np.add(b, a[HUB], out=block[row, :n])
             block[row, n:] = leaves_in
         high = low + len(chunk)
         incoming = block[: len(chunk)]  # per row: the hub column, then the star
-        column = incoming[:, :n]
-        if start is None:
-            column[:, HUB] = 0.0
-        else:
-            odd = (chunk & 1).astype(bool)
-            column[odd] -= start[HUB, :]
-            column[~odd] += start[:, HUB]
-            column[chunk > 0, HUB] = 0.0
+        incoming[:, HUB] = 0.0
         p[low:high] = _hub_probability(incoming)
-        clique_in[low:high] = column[:, 1:].sum(axis=1)
+        clique_in[low:high] = incoming[:, 1:n].sum(axis=1)
         star_in[low:high] = incoming[:, n:].sum(axis=1)
     clique_in /= math.sqrt(n - 1)
     star_in /= math.sqrt(m)
@@ -380,15 +343,11 @@ def hub_series(
 
 
 def evolve(
-    graph: GluedGraph,
-    state: WalkState | None,
-    t_max: int,
-    leaf_phase: LeafPhase = LeafPhase.REVERSAL,
+    graph: GluedGraph, t_max: int, leaf_phase: LeafPhase = LeafPhase.REVERSAL
 ) -> ProbabilityTrace:
-    """Run ``t_max`` steps, recording the hub probability and the collapsed
-    amplitudes on the two hub-bound classes at every step (t_max + 1 rows).
-    ``None`` is the uniform start, as in ``hub_series``."""
+    """Run ``t_max`` steps from the uniform start, recording the hub
+    probability and the collapsed amplitudes on the two hub-bound classes
+    at every step (t_max + 1 rows)."""
     metadata = trace_metadata(graph.n_clique, graph.n_leaves, "full", leaf_phase)
-    series = partial(hub_series, graph, state, leaf_phase)
-    start = 0 if state is None else state.time
-    return ProbabilityTrace.from_series(series, t_max, metadata, start)
+    series = partial(hub_series, graph, leaf_phase)
+    return ProbabilityTrace.from_series(series, t_max, metadata)

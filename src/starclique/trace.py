@@ -117,10 +117,17 @@ class ProbabilityTrace:
     def from_series(
         cls, series, t_max: int, metadata: dict[str, str], start: int = 0
     ) -> "ProbabilityTrace":
-        """Rows 0..t_max of ``series(times) -> HubSeries``, timed from ``start``."""
+        """Rows 0..t_max of ``series(times) -> HubSeries``, timed from ``start``.
+        The last time must be a step count (at most 2**63 - 1); numpy's
+        ``arange`` takes its length as a float, which wraps to 0 rows near
+        2**63, so the row count is checked too."""
         if t_max < 0:
             raise ValueError(f"t_max must be nonnegative, got {t_max}")
+        if start + t_max >= 2**63:
+            raise ValueError(f"a trace to step {start + t_max} ends beyond 2**63 - 1")
         steps = np.arange(t_max + 1, dtype=np.int64)
+        if len(steps) != t_max + 1:
+            raise ValueError(f"numpy's arange cannot lay out {t_max + 1} rows")
         return cls(start + steps, *series(steps), metadata=metadata)
 
     def _columns(self) -> tuple[np.ndarray, ...]:

@@ -227,7 +227,7 @@ def run_checks(
     full_phase = other_phase if inject_leaf_phase_flip else leaf_phase
 
     # full evolution vs reduced iteration
-    full_trace = fw.evolve(graph, None, steps, full_phase)  # the uniform start
+    full_trace = fw.evolve(graph, steps, full_phase)
     ops = cw.build_reduced_operators(n_clique, n_leaves, leaf_phase)
     start = cw.collapsed_initial_state(n_clique, n_leaves)
     reduced_trace = cw.evolve_collapsed(ops, start, steps)

@@ -68,14 +68,19 @@ def step(graph, state, leaf_phase):
     return WalkState(clique.copy(), star_in.copy(), star_out.copy(), state.time + 1)
 
 
+def hub_row(graph, clique, star_in):
+    """p_hub on the arcs into the hub, |clique[:, HUB]|^2 + |star_in|^2, and
+    the two hub-bound class amplitudes of one state, as
+    ``full_walk.hub_series`` reports them."""
+    incoming = clique[:, HUB]
+    p = (np.vdot(incoming, incoming) + np.vdot(star_in, star_in)).real
+    return (p, incoming[1:].sum() / math.sqrt(graph.n_clique - 1),
+            star_in.sum() / math.sqrt(graph.n_leaves))
+
+
 def hub_series(graph, state, leaf_phase, times):
-    """p_hub on the arcs into the hub and the two hub-bound class amplitudes,
-    as ``full_walk.hub_series`` reports them."""
+    """``hub_row`` after each of the ascending step counts ``times``."""
     steps = ascending_steps(times)
-    rows = []
-    for clique, star_in, _ in advance(graph, state, leaf_phase, steps):
-        incoming = clique[:, HUB]
-        p = (np.vdot(incoming, incoming) + np.vdot(star_in, star_in)).real
-        rows.append((p, incoming[1:].sum() / math.sqrt(graph.n_clique - 1),
-                     star_in.sum() / math.sqrt(graph.n_leaves)))
+    rows = [hub_row(graph, clique, star_in)
+            for clique, star_in, _ in advance(graph, state, leaf_phase, steps)]
     return [np.array(column) for column in zip(*rows)]

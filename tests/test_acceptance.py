@@ -31,7 +31,7 @@ def test_criterion_1_oracle_equivalence():
     for n in (3, 10, 50, 100, 200):
         for m in _m_grid(n):
             graph = sc.build_graph(n, m)
-            full = sc.evolve(graph, sc.initial_state(graph), 1000)
+            full = sc.evolve(graph, 1000)
             ops = sc.build_reduced_operators(n, m)
             reduced = sc.evolve_collapsed(ops, sc.collapsed_initial_state(n, m), 1000)
             dev = float(np.abs(full.p_hub - reduced.p_hub).max())

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import os
+import stat
 import tracemalloc
 from functools import partial
 
@@ -77,7 +79,7 @@ def _library_series(mode, n, alpha):
     m = sc.leaves_from_alpha(n, alpha)
     if mode == "full":
         graph = sc.build_graph(n, m)
-        return partial(sc.full_walk.hub_series, graph, None, sc.LeafPhase.REVERSAL)
+        return partial(sc.full_walk.hub_series, graph, sc.LeafPhase.REVERSAL)
     if mode == "collapsed":
         ops = sc.build_reduced_operators(n, m)
         return partial(sc.collapsed.hub_series, ops, sc.collapsed_initial_state(n, m))
@@ -288,6 +290,57 @@ def test_unwritable_output_exits_4_and_leaves_no_file(tmp_path, capsys):
         assert err.startswith("error: cannot write") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
     assert not any((tmp_path / "taken").iterdir())
+
+
+@pytest.mark.parametrize("steps", [2**63 - 513, 2**63 - 2, 2**63 - 1, 2**63])
+@pytest.mark.parametrize("mode", ["full", "collapsed", "closed"])
+def test_steps_near_2_63_are_config_errors(tmp_path, capsys, mode, steps):
+    # numpy's arange wrapped the trace to 0 rows: a header-only file, exit 0
+    out = tmp_path / "x.csv"
+    args = ["simulate", "--n", "10", "--m", "2", "--steps", str(steps), "--mode", mode]
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_out_of_memory_exits_3_and_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # a trace is built whole, so a --steps too large for memory ended in
+    # numpy's MemoryError, a traceback and exit 1; here the series raises it
+    message = "Unable to allocate 745. GiB for an array with shape (100000000001,)"
+
+    def no_memory(self, times):
+        raise MemoryError(message)
+
+    def fail_midway(self, stream):
+        stream.write("t\n")
+        raise MemoryError
+
+    args = ["simulate", "--n", "100", "--alpha", "0.5", "--steps", "10",
+            "--out", str(tmp_path / "t.csv")]
+    monkeypatch.setattr(sc.EigenbasisEvaluator, "hub_series", no_memory)
+    assert main(args + ["--mode", "closed"]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    monkeypatch.setattr(ProbabilityTrace, "to_csv", fail_midway)
+    assert main(args + ["--mode", "collapsed"]) == 3  # while the temp file is written
+    assert capsys.readouterr().err == "error: MemoryError\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_output_files_get_the_mode_open_gives(tmp_path, capsys, umask, mode):
+    # mkstemp makes its temp file 0600, and the rename kept that mode
+    trace, report, plain = tmp_path / "t.csv", tmp_path / "o.json", tmp_path / "plain"
+    before = os.umask(umask)
+    try:
+        assert main(["simulate", "--n", "10", "--m", "2", "--steps", "5",
+                     "--out", str(trace)]) == 0
+        assert main(["optimal-time", "--n", "1000", "--alpha", "0", "--out", str(report)]) == 0
+        plain.touch()
+    finally:
+        os.umask(before)
+    for path in (trace, report, plain):
+        assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 def test_spectrum_smallest(tmp_path):

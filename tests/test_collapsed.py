@@ -103,7 +103,7 @@ def test_evolve_collapsed_rejects_negative_steps():
 def test_collapsed_matches_full_walk(phase):
     n, m = 10, 3
     g = sc.build_graph(n, m)
-    full = sc.evolve(g, sc.initial_state(g), 300, phase)
+    full = sc.evolve(g, 300, phase)
     ops = sc.build_reduced_operators(n, m, phase)
     reduced = sc.evolve_collapsed(ops, sc.collapsed_initial_state(n, m), 300)
     assert np.abs(full.p_hub - reduced.p_hub).max() < 1e-10

@@ -85,16 +85,28 @@ def test_step_rejects_dimension_mismatch():
         sc.step(g, _leaf_bound_unit_mass(5, 3))
 
 
-@pytest.mark.parametrize("times", [[], [0], [0, 3]])
+@pytest.mark.parametrize("times", [[], [0], [0, 1]])
 def test_walks_check_the_start_on_entry(times):
     # a wrong shape raises on the call, also when no step is asked for
     g = sc.build_graph(10, 3)
     bad = sc.WalkState(np.zeros((4, 4)), np.zeros(1), np.zeros(1))
     with pytest.raises(ValueError, match="shapes"):
-        hub_series(g, bad, LeafPhase.REVERSAL, times)
+        full_walk._advance(g, bad, LeafPhase.REVERSAL, times)
     with pytest.raises(ValueError, match="shapes"):
         full_walk._advance(g, full_walk._Affine(np.zeros(10), np.zeros(10), np.zeros(3),
                                                 np.zeros(2)), LeafPhase.REVERSAL, times)
+
+
+@pytest.mark.parametrize("steps", [[2], [0, 1, 2], [1, 5]])
+def test_advance_steps_a_given_start_once(steps):
+    # the kernel carries a given block one step; a later count raises on
+    # the call, before any step
+    g = sc.build_graph(10, 3)
+    state = next(random_walk_states(g, 1, seed=19))
+    with pytest.raises(ValueError, match="once"):
+        full_walk._advance(g, state, LeafPhase.REVERSAL, steps)
+    walk = full_walk._advance(g, state, LeafPhase.REVERSAL, [0, 1])
+    assert len(list(walk)) == 2
 
 
 @pytest.mark.parametrize("n,m", [(3, 1), (7, 3), (40, 40), (60, 5)])
@@ -131,22 +143,37 @@ def _assert_series_close(got, want, tol=1e-12):
         assert np.abs(column - reference).max() <= tol
 
 
+def _stepped(g, state, phase, steps):
+    """``state`` iterated by the public ``step``, at each of the ascending
+    step counts ``steps``: O(N^2) per step, for any state."""
+    done = 0
+    for t in steps:
+        for _ in range(t - done):
+            state = sc.step(g, state, phase)
+        done = t
+        yield state
+
+
+def _step_series(g, state, phase, steps):
+    """The hub series of ``state`` iterated by ``step``, read from each
+    stepped state as ``dense_kernel`` reads its own."""
+    rows = [dense_kernel.hub_row(g, s.clique, s.star_in) for s in _stepped(g, state, phase, steps)]
+    return [np.array(column) for column in zip(*rows)]
+
+
 _KERNEL_SIZES = [(3, 1), (4, 7), (25, 5), (60, 3)]
 
 
 @pytest.mark.parametrize("n,m", _KERNEL_SIZES)
 @pytest.mark.parametrize("phase", [LeafPhase.REVERSAL, LeafPhase.PLAIN])
 def test_series_match_arc_table_from_random_state(n, m, phase):
-    # a complex start: hub_series at sparse times, evolve at every step
+    # a complex start, iterated by step, at sparse times
     g = sc.build_graph(n, m)
     table = arc_table.build(n, m)
     state = next(random_walk_states(g, 1, seed=31))
     times = [0, 1, 2, 7, 30, 31, 60]
     want = _table_series(table, arc_amplitudes(state), phase, times)
-    _assert_series_close(hub_series(g, state, phase, times), want)
-    trace = sc.evolve(g, state, 60, phase)
-    want = _table_series(table, arc_amplitudes(state), phase, range(61))
-    _assert_series_close((trace.p_hub, trace.psi_clique_in, trace.psi_star_in), want)
+    _assert_series_close(_step_series(g, state, phase, times), want)
 
 
 @pytest.mark.parametrize("n,m", _KERNEL_SIZES)
@@ -160,10 +187,8 @@ def test_series_match_arc_table_from_odd_time(n, m, phase):
     psi = arc_amplitudes(state)
     times = np.arange(51)
     want = _table_series(table, psi, phase, times)
-    _assert_series_close(hub_series(g, state, phase, times), want)
-    trace = sc.evolve(g, state, 50, phase)
-    assert trace.times[0] == 1 and trace.times[-1] == 51
-    _assert_series_close((trace.p_hub, trace.psi_clique_in, trace.psi_star_in), want)
+    _assert_series_close(_step_series(g, state, phase, times), want)
+    assert [s.time for s in _stepped(g, state, phase, [0, 50])] == [1, 51]
 
 
 @pytest.mark.parametrize("n,m", _KERNEL_SIZES)
@@ -194,8 +219,6 @@ def test_walks_leave_the_input_state_untouched(phase):
     # a complex128 state and the float64 uniform start
     for state in (next(random_walk_states(g, 1, seed=21)), sc.initial_state(g)):
         before = [a.copy() for a in (state.clique, state.star_in, state.star_out)]
-        hub_series(g, state, phase, [0, 3, 10])
-        sc.evolve(g, state, 10, phase)
         sc.step(g, state, phase)
         after = (state.clique, state.star_in, state.star_out)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
@@ -212,11 +235,9 @@ def _assert_states_close(got, want, tol=1e-12):
     assert got.time == want.time
 
 
-def _check_against_dense(g, state, phase, times=(0, 1, 2, 3, 8, 31, 60), steps=20):
-    """The structured kernel and the dense reference from ``state``: the
-    series at ``times`` and ``steps`` states stepped one at a time."""
-    want = dense_kernel.hub_series(g, state, phase, times)
-    _assert_series_close(hub_series(g, state, phase, times), want)
+def _check_against_dense(g, state, phase, steps=20):
+    """The structured kernel and the dense reference from ``state``:
+    ``steps`` states stepped one at a time."""
     got = want = state
     for _ in range(steps):
         got, want = sc.step(g, got, phase), dense_kernel.step(g, want, phase)
@@ -297,35 +318,26 @@ def test_off_diagonal_square_matches_the_block():
 
 
 def test_real_kernel_matches_dense_reference():
-    # the float64 uniform start, given and as None, against the dense kernel
+    # the float64 uniform series against the dense kernel from the built start
     g = sc.build_graph(57, 9)
     for phase in _PHASES:
         times = np.arange(0, 301, 7)
         want = dense_kernel.hub_series(g, sc.initial_state(g), phase, times)
-        for start in (None, sc.initial_state(g)):
-            _assert_series_close(hub_series(g, start, phase, times), want)
+        _assert_series_close(hub_series(g, phase, times), want)
 
 
 @pytest.mark.parametrize("n,m,rows", [(24, 1000, 64), (8, 16376, 4), (3, 1 << 16, 1)])
 @pytest.mark.parametrize("phase", _PHASES)
 def test_block_probe_matches_dense_reference(n, m, rows, phase):
     # series that end just before, at and just after a block edge, and
-    # sparse ones spanning several blocks; complex and real given starts with
-    # a nonzero diagonal, whose hub entry the t = 0 rows must keep
+    # sparse ones spanning several blocks, from the uniform start
     g = sc.build_graph(n, m)
     assert max(1, sc.full_walk._PROBE_ELEMENTS // (n + m)) == rows
-    base = next(random_walk_states(g, 1, seed=61))
-    clique = base.clique.copy()
-    np.fill_diagonal(clique, np.linspace(0.1, 0.3, n) * (1 - 0.5j))
-    given = sc.WalkState(clique, base.star_in, base.star_out)
-    real = sc.WalkState(*(a.real.copy() for a in (clique, base.star_in, base.star_out)))
     series = [np.arange(k) for k in sorted({1, max(rows - 1, 1), rows, rows + 1})]
     series += [[0, 1, 63, 64, 65, 300], [0, 0, 2, 2, 3]]
-    for start in (None, given, real):
-        reference = sc.initial_state(g) if start is None else start
-        for times in series:
-            want = dense_kernel.hub_series(g, reference, phase, times)
-            _assert_series_close(hub_series(g, start, phase, times), want)
+    for times in series:
+        want = dense_kernel.hub_series(g, sc.initial_state(g), phase, times)
+        _assert_series_close(hub_series(g, phase, times), want)
 
 
 @pytest.mark.parametrize("n,m", [(10**5, 316), (10**4, 1)])
@@ -333,28 +345,17 @@ def test_uniform_series_matches_closed_form_through_optimal_time(n, m):
     # beyond any dense block: 80 GB at N = 1e5.  Measured: 1.3e-13 and 5.3e-13
     t_opt = sc.optimal_time_exact(n, m)
     times = np.unique(np.append(np.arange(0, t_opt, 47), [t_opt - 1, t_opt]))
-    got = hub_series(sc.build_graph(n, m), None, LeafPhase.REVERSAL, times)
+    got = hub_series(sc.build_graph(n, m), LeafPhase.REVERSAL, times)
     _assert_series_close(got, sc.spectral.hub_series(n, m, times), tol=1e-10)
-
-
-def test_given_start_sums_do_not_drift():
-    # the kernel adds the start's row and column sums in every step, so
-    # their rounding acts as a constant forcing: measured 1.4e-14 after
-    # 1000 steps at (200, 1); column sums accumulated row by row drift to 2.5e-13
-    n, m = 200, 1
-    g = sc.build_graph(n, m)
-    times = np.arange(0, 1001, 5)
-    got = hub_series(g, sc.initial_state(g), LeafPhase.REVERSAL, times)
-    _assert_series_close(got, sc.spectral.hub_series(n, m, times), tol=1e-13)
 
 
 def test_uniform_series_holds_no_block():
     # the dense oracle held a 72 MB float64 block at N = 3000
     g = sc.build_graph(3000, 55)
-    hub_series(g, None, LeafPhase.REVERSAL, [0, 1])  # caches outside the measurement
+    hub_series(g, LeafPhase.REVERSAL, [0, 1])  # caches outside the measurement
     tracemalloc.start()
     try:
-        hub_series(g, None, LeafPhase.REVERSAL, np.arange(40))
+        hub_series(g, LeafPhase.REVERSAL, np.arange(40))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -365,7 +366,7 @@ def test_initial_state_is_real():
     g = sc.build_graph(12, 3)
     state = sc.initial_state(g)
     assert all(a.dtype == np.float64 for a in (state.clique, state.star_in, state.star_out))
-    p, clique_in, star_in = hub_series(g, None, LeafPhase.REVERSAL, [0, 5])
+    p, clique_in, star_in = hub_series(g, LeafPhase.REVERSAL, [0, 5])
     assert (p.dtype, clique_in.dtype, star_in.dtype) == (
         np.float64, np.complex128, np.complex128
     )
@@ -388,50 +389,41 @@ def test_real_walk_matches_complex_walk(phase):
         real, cplx = sc.step(g, real, phase), sc.step(g, cplx, phase)
     assert real.clique.dtype == np.float64 and cplx.clique.dtype == np.complex128
     assert np.abs(arc_amplitudes(real) - arc_amplitudes(cplx)).max() <= 1e-14
-    # hub_series from the same given start: numpy's sums are blocked
-    # differently for float64 and complex128, so the series differ by
-    # rounding (1.6e-14 at most)
-    times = np.arange(301)
-    from_real = hub_series(g, sc.initial_state(g), phase, times)
-    from_complex = hub_series(g, _as_complex(sc.initial_state(g)), phase, times)
-    for got, want in zip(from_real, from_complex):
-        assert np.abs(got - want).max() <= 2e-14
 
 
-def test_evolve_from_none_is_the_uniform_start():
-    # None is X = 0 plus an affine part, the given start X = the uniform
-    # block: the same walk in two representations, equal up to rounding
+def test_evolve_is_the_uniform_start():
+    # evolve runs X = 0 plus an affine part, step the built uniform block:
+    # the same walk in two representations, equal up to rounding
     g = sc.build_graph(20, 4)
-    from_none = sc.evolve(g, None, 30)
-    given = sc.evolve(g, sc.initial_state(g), 30)
-    assert np.array_equal(from_none.times, given.times)
-    columns = ("p_hub", "psi_clique_in", "psi_star_in")
-    for column in columns:
-        assert np.abs(getattr(from_none, column) - getattr(given, column)).max() <= 1e-14
+    trace = sc.evolve(g, 30)
+    assert np.array_equal(trace.times, np.arange(31))
+    got = (trace.p_hub, trace.psi_clique_in, trace.psi_star_in)
+    stepped = _step_series(g, sc.initial_state(g), LeafPhase.REVERSAL, range(31))
+    _assert_series_close(got, stepped, tol=1e-14)
     table = arc_table.build(20, 4)
     want = _table_series(table, arc_amplitudes(sc.initial_state(g)), LeafPhase.REVERSAL,
                          range(31))
-    for trace in (from_none, given):
-        _assert_series_close([getattr(trace, column) for column in columns], want)
+    for series in (got, stepped):
+        _assert_series_close(series, want)
 
 
 @pytest.mark.parametrize("n,m", [(3, 1), (10, 3), (57, 9)])
 def test_evolve_starts_at_one_over_n(n, m):
     g = sc.build_graph(n, m)
-    trace = sc.evolve(g, sc.initial_state(g), 0)
+    trace = sc.evolve(g, 0)
     assert len(trace) == 1
     assert trace.p_hub[0] == pytest.approx(1.0 / n, abs=1e-14)
 
 
 def test_evolve_reversal_peak_value():
     g = sc.build_graph(100, 1)
-    trace = sc.evolve(g, sc.initial_state(g), 111)
+    trace = sc.evolve(g, 111)
     assert 0.40 <= trace.p_hub[111] <= 0.55
 
 
 def test_evolve_plain_baseline_stays_low():
     g = sc.build_graph(100, 1)
-    trace = sc.evolve(g, sc.initial_state(g), 5000, LeafPhase.PLAIN)
+    trace = sc.evolve(g, 5000, LeafPhase.PLAIN)
     assert trace.p_hub.max() < 0.10
 
 
@@ -447,20 +439,20 @@ def test_real_dynamics_from_uniform_state():
 
 def test_vertex_probability_partitions_unity():
     # per-vertex probabilities, |amplitude|^2 summed by terminus, add to 1,
-    # and the hub's is the oracle's p_hub
+    # and the hub's is the oracle's p_hub, here after 7 steps
     g = sc.build_graph(9, 4)
-    state = next(random_walk_states(g, 1, seed=11))
+    (state,) = _stepped(g, sc.initial_state(g), LeafPhase.REVERSAL, [7])
     table = arc_table.build(9, 4)
     per_vertex = np.bincount(table.terminus, np.abs(arc_amplitudes(state)) ** 2)
     assert per_vertex.sum() == pytest.approx(1.0, abs=1e-12)
-    p_hub = hub_series(g, state, LeafPhase.REVERSAL, [0])[0][0]
+    p_hub = hub_series(g, LeafPhase.REVERSAL, [7])[0][0]
     assert p_hub == pytest.approx(per_vertex[HUB], abs=1e-12)
 
 
 def test_vertex_probability_of_initial_state():
     g = sc.build_graph(10, 2)
     state = sc.initial_state(g)
-    p_hub = hub_series(g, state, LeafPhase.REVERSAL, [0])[0][0]
+    p_hub = hub_series(g, LeafPhase.REVERSAL, [0])[0][0]
     assert p_hub == pytest.approx(0.1, abs=1e-14)
     # a leaf's probability is that of the one arc into it
     assert not state.star_out.any()

@@ -85,7 +85,7 @@ def test_step_preserves_norm(n, m, seed, real, phase):
 )
 def test_full_series_from_uniform_start_matches_iteration(n, m, t, phase):
     times = np.arange(t + 1)
-    full = sc.full_walk.hub_series(sc.build_graph(n, m), None, phase, times)
+    full = sc.full_walk.hub_series(sc.build_graph(n, m), phase, times)
     iterated = sc.collapsed.hub_series(
         sc.build_reduced_operators(n, m, phase), sc.collapsed_initial_state(n, m), times
     )

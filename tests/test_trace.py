@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -202,7 +203,7 @@ def test_rejects_wrong_header():
 def test_library_and_cli_traces_share_one_metadata_builder():
     keys = ["n", "m", "alpha", "mode", "leaf_phase", "version"]
     graph = sc.build_graph(7, 2)
-    full = sc.evolve(graph, None, 3, sc.LeafPhase.PLAIN)
+    full = sc.evolve(graph, 3, sc.LeafPhase.PLAIN)
     ops = sc.build_reduced_operators(7, 2)
     reduced = sc.evolve_collapsed(ops, sc.collapsed_initial_state(7, 2), 3)
     assert full.metadata == trace_metadata(7, 2, "full", sc.LeafPhase.PLAIN)
@@ -221,7 +222,7 @@ _SERIES = {
         sc.build_reduced_operators(100, 10), sc.collapsed_initial_state(100, 10), times
     ),
     "full": lambda times: sc.full_walk.hub_series(
-        sc.build_graph(10, 3), None, sc.LeafPhase.REVERSAL, times
+        sc.build_graph(10, 3), sc.LeafPhase.REVERSAL, times
     ),
     "asymptotic": lambda times: sc.asymptotics.hub_series(100, 0.5, times),
 }
@@ -257,3 +258,31 @@ def test_series_read_whole_and_unsigned_step_counts_as_integers(series):
 def test_closed_form_probability_rejects_a_fractional_time():
     with pytest.raises(ValueError, match="^step counts must be whole numbers$"):
         sc.closed_form_probability(100, 10, 2.7)
+
+
+# numpy's arange takes its length as a float, which wraps to 0 rows from
+# 2**63 - 512 on; the traces were empty, with no error
+_NEAR_2_63 = [2**63 - 513, 2**63 - 2, 2**63 - 1]
+
+
+def _never(times):
+    raise AssertionError("no series may run")
+
+
+@pytest.mark.parametrize("t_max", _NEAR_2_63)
+def test_from_series_rejects_row_counts_arange_cannot_lay_out(t_max):
+    with pytest.raises(ValueError, match="arange"):
+        ProbabilityTrace.from_series(_never, t_max, {})
+    ops = sc.build_reduced_operators(10, 2)
+    with pytest.raises(ValueError, match="arange"):
+        sc.evolve_collapsed(ops, sc.collapsed_initial_state(10, 2), t_max)
+
+
+def test_from_series_rejects_a_last_step_beyond_int64():
+    for start, t_max in ((0, 2**63), (10, 2**63 - 10), (2**63 - 1, 1)):
+        with pytest.raises(ValueError, match=r"beyond 2\*\*63 - 1"):
+            ProbabilityTrace.from_series(_never, t_max, {}, start)
+    ops = sc.build_reduced_operators(10, 2)
+    late = dataclasses.replace(sc.collapsed_initial_state(10, 2), time=10)
+    with pytest.raises(ValueError, match=r"beyond 2\*\*63 - 1"):
+        sc.evolve_collapsed(ops, late, 2**63 - 10)
