@@ -35,11 +35,6 @@ from .trace import ProbabilityTrace, trace_metadata
 from .verify import run_checks
 
 DEFAULT_ARC_BUDGET = 10**7
-_ARC_BUDGET_HELP = (
-    "most arcs, N(N-1) + 2m, of a full evaluation (default 10^7); from the "
-    "uniform start the oracle holds O(N + m) memory and takes O(N + m) per "
-    "step, so the budget caps the problem size; exit code 3 when exceeded"
-)
 _INT64_MAX = 2**63 - 1
 
 _MODES = ("full", "collapsed", "closed", "asymptotic")
@@ -108,15 +103,6 @@ def _leaf_count(n: int, alpha: float) -> int:
     return m
 
 
-def _check_arc_budget(sizes: Sizes, budget: int) -> None:
-    arcs = sizes.n * (sizes.n - 1) + 2 * sizes.m
-    if arcs > budget:
-        raise ArcBudgetError(
-            f"full evaluation needs {arcs} arcs, beyond the budget of {budget}; "
-            "raise --arc-budget or use --mode collapsed"
-        )
-
-
 def _out_path(args: argparse.Namespace, default_name: str) -> str:
     path = args.out if args.out else default_name
     if not os.path.isabs(path):
@@ -173,7 +159,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     # the mode's evaluator with its setup bound: times -> HubSeries
     if args.mode == "full":
-        _check_arc_budget(sizes, args.arc_budget)
         graph = build_graph(sizes.n, sizes.m)
         series = partial(fw.hub_series, graph, phase)
     elif args.mode == "collapsed":
@@ -193,9 +178,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     sizes = _resolve_sizes(args)
-    fmt = args.format or "json"
-    if fmt != "json":
-        raise ConfigError("spectrum reports are JSON only")
     audit = audit_closed_forms(sizes.n, sizes.m)
     worst = np.max(audit.report.residuals)  # a NaN residual fails, as in verify
     if not worst < spectral.RESIDUAL_TOLERANCE:
@@ -227,11 +209,13 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 def _cmd_optimal_time(args: argparse.Namespace) -> int:
     sizes = _resolve_sizes(args)
     t_exact = asym.optimal_time_exact(sizes.n, sizes.m)
+    if t_exact > _INT64_MAX:
+        raise ConfigError(f"t_opt = {t_exact} is beyond the int64 step range, 2**63 - 1")
     alpha = sizes.alpha
     if alpha is None:
         alpha = math.log(sizes.m) / math.log(sizes.n) if sizes.m > 1 else 0.0
     t_branch = asym.optimal_time_branch(sizes.n, alpha)
-    p_at_t = float(spectral.hub_series(sizes.n, sizes.m, [t_exact])[0][0])
+    p_at_t = spectral.closed_form_probability(sizes.n, sizes.m, t_exact)
     record = {
         "n": sizes.n,
         "m": sizes.m,
@@ -307,7 +291,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     sizes = _resolve_sizes(args)
     if args.steps is None or args.steps < 1:
         raise ConfigError("--steps must be at least 1")
-    _check_arc_budget(sizes, args.arc_budget)
+    arcs = sizes.n * (sizes.n - 1) + 2 * sizes.m
+    if arcs > args.arc_budget:
+        raise ArcBudgetError(
+            f"verify needs {arcs} arcs, beyond the budget of {args.arc_budget}; "
+            "raise --arc-budget"
+        )
     report = run_checks(
         sizes.n,
         sizes.m,
@@ -337,7 +326,9 @@ def _add_size_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--alpha", type=float, help="leaf exponent; leaf count is floor(N**alpha)"
     )
-    parser.add_argument("--m", type=int, help="explicit leaf count (overrides --alpha)")
+    parser.add_argument(
+        "--m", type=int, help="explicit leaf count (mutually exclusive with --alpha)"
+    )
 
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
@@ -360,14 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--steps", type=int, help="number of walk steps (>= 1)")
     sim.add_argument("--mode", choices=_MODES, default="collapsed")
     sim.add_argument("--leaf-phase", choices=tuple(_PHASES), default="reverse")
-    sim.add_argument(
-        "--arc-budget", type=int, default=DEFAULT_ARC_BUDGET, help=_ARC_BUDGET_HELP
-    )
     sim.set_defaults(func=_cmd_simulate)
 
     spectrum = sub.add_parser("spectrum", help="emit the reduced-walk eigensystem")
     _add_size_options(spectrum)
-    _add_output_options(spectrum)
+    spectrum.add_argument("--out", help="JSON output path (default: derived name)")
     spectrum.set_defaults(func=_cmd_spectrum)
 
     opt = sub.add_parser("optimal-time", help="optimal running time and its probability")
@@ -396,9 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--arc-budget",
         type=int,
         default=DEFAULT_ARC_BUDGET,
-        help=_ARC_BUDGET_HELP + "; verify draws its 20 random complex states one "
-        "at a time, checks them on the O(N + m) structured kernel and holds "
-        "about 2 complex copies, 16 bytes per arc each",
+        help="most arcs, N(N-1) + 2m, that verify checks (default 10^7); it "
+        "draws its 20 random complex states one at a time and holds about 2 "
+        "complex copies of the arcs, 16 bytes each; exit code 3 when exceeded",
     )
     ver.add_argument("--out", help="optional JSON report path")
     ver.add_argument(

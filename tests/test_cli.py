@@ -232,15 +232,56 @@ def test_sparse_collapsed_series_holds_one_block():
     assert peak <= 4 * sc.collapsed._BLOCK * 25 * 8
 
 
-def test_full_mode_arc_budget(tmp_path):
-    out = tmp_path / "trace.csv"
-    for n in ("4000", "4000000000"):  # the second is beyond sys.maxsize arcs
-        code = main(
-            ["simulate", "--n", n, "--m", "1", "--steps", "5",
-             "--mode", "full", "--out", str(out)]
-        )
-        assert code == 3
-        assert not out.exists()
+def test_full_mode_has_no_arc_budget(tmp_path, capsys):
+    # 10001408 arcs, which the old 10^7 budget refused, in O(N + m) memory
+    full, reduced = tmp_path / "full.csv", tmp_path / "reduced.csv"
+    base = ["simulate", "--n", "3163", "--m", "1", "--steps", "5"]
+    assert main(base + ["--mode", "full", "--out", str(full)]) == 0
+    assert main(base + ["--mode", "collapsed", "--out", str(reduced)]) == 0
+    assert compare_traces.mismatch(read_trace(full), read_trace(reduced), 6) == ""
+    capsys.readouterr()
+
+    # beyond sys.maxsize arcs: build_graph's addressable-size check
+    out = tmp_path / "huge.csv"
+    code = main(
+        ["simulate", "--n", "4000000000", "--m", "1", "--steps", "5",
+         "--mode", "full", "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: arc count") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_verify_arc_budget_exits_3_before_any_draw(tmp_path, capsys, monkeypatch):
+    def no_checks(*args, **kwargs):
+        raise AssertionError("run_checks called beyond the arc budget")
+
+    monkeypatch.setattr("starclique.cli.run_checks", no_checks)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--n", "4000", "--alpha", "0.5", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: verify needs 15996126 arcs, beyond the budget of 10000000; "
+        "raise --arc-budget\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--n", "100", "--m", "5", "--format", "csv"],
+        ["spectrum", "--n", "100", "--m", "5", "--format", "json"],
+        ["simulate", "--n", "100", "--m", "5", "--steps", "10", "--arc-budget", "10"],
+    ],
+)
+def test_removed_options_are_argparse_errors(tmp_path, capsys, args):
+    out = tmp_path / "never.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -255,7 +296,6 @@ def test_full_mode_arc_budget(tmp_path):
         ["simulate", "--n", "100", "--m", "1", "--steps", "10",
          "--mode", "closed", "--leaf-phase", "plain"],
         ["simulate", "--n", "100", "--m", "5", "--steps", "10", "--mode", "asymptotic"],
-        ["spectrum", "--n", "100", "--m", "5", "--format", "csv"],
         ["phase-diagram", "--n-grid", "256,1024"],
         ["phase-diagram", "--alphas", "0.5"],
         ["optimal-time", "--n", "1000000", "--alpha", "100"],
@@ -271,6 +311,7 @@ def test_full_mode_arc_budget(tmp_path):
         ["phase-diagram", "--alphas", "nan,0", "--n-grid", "256,1024,4096,16384"],
         ["phase-diagram", "--alphas", "0,0.5",  # beyond the float range
          "--n-grid", ",".join(str(k * 10**200) for k in (1, 2, 4, 8))],
+        ["optimal-time", "--n", str(84 * 10**17), "--alpha", "0"],  # t_opt beyond int64
     ],
 )
 def test_config_errors_leave_no_file(tmp_path, capsys, args):
@@ -421,6 +462,17 @@ def test_optimal_time_large(capsys):
     record = _parse_record(capsys.readouterr().out)
     assert int(record["t_opt_exact"]) > 10**18
     assert abs(float(record["p_at_t_opt"]) - 0.5) < 1e-12
+
+
+def test_optimal_time_names_the_int64_step_bound(capsys):
+    # t_opt ~ 1.11 N: the largest N that still answers, then one beyond it
+    assert main(["optimal-time", "--n", str(8 * 10**18), "--alpha", "0"]) == 0
+    record = _parse_record(capsys.readouterr().out)
+    assert int(record["t_opt_exact"]) == 8885765876316732494
+    assert main(["optimal-time", "--n", str(84 * 10**17), "--alpha", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_opt = ") and err.count("\n") == 1
+    assert "2**63 - 1" in err
 
 
 @pytest.mark.parametrize("alpha", ["0", "1"])
