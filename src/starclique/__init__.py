@@ -29,7 +29,6 @@ from .full_walk import (
     evolve,
     initial_state,
     lift,
-    shift,
     step,
 )
 from .graph import (
@@ -82,7 +81,6 @@ __all__ = [
     "optimal_time_branch",
     "optimal_time_exact",
     "run_checks",
-    "shift",
     "step",
     "walk_eigensystem",
 ]

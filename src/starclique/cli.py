@@ -291,6 +291,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     sizes = _resolve_sizes(args)
     if args.steps is None or args.steps < 1:
         raise ConfigError("--steps must be at least 1")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    if args.arc_budget < 1:
+        raise ConfigError(f"--arc-budget must be at least 1, got {args.arc_budget}")
     arcs = sizes.n * (sizes.n - 1) + 2 * sizes.m
     if arcs > args.arc_budget:
         raise ArcBudgetError(
@@ -385,8 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_ARC_BUDGET,
         help="most arcs, N(N-1) + 2m, that verify checks (default 10^7); it "
-        "draws its 20 random complex states one at a time and holds about 2 "
-        "complex copies of the arcs, 16 bytes each; exit code 3 when exceeded",
+        "draws its 20 random complex states one at a time into one buffer and "
+        "holds about 1 complex copy of the arcs, 16 bytes per arc; exit code 3 "
+        "when exceeded",
     )
     ver.add_argument("--out", help="optional JSON report path")
     ver.add_argument(

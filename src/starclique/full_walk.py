@@ -24,17 +24,17 @@ symmetry, so it checks ``collapsed`` independently.  It also starts from
 an ``_Affine`` start, a and b given: the lift of five class amplitudes is
 one (``_lifted``), so a step from lift(collapse(psi)) costs O(N + m).
 
-A given block X leaves b1ᵀ - Xᵀ after one step, b its scaled column sums,
-and the kernel takes that one step only: ``step`` and ``verify`` call it
-so, and only ``step`` builds a block, the one it returns, in one
-allocation.  A given state evolves further by iterating ``step``, O(N^2)
-per step.  ``verify`` reads the random states' steps, both leaf phases and
-the commutation's two sides, as these vectors and ``_off_diagonal_square``
-takes the commutation's norm from them: a state's block is read only by
-reductions (column sums, squared norm) and the involution's compare, and
-no N x N array is built but the draw and that compare's difference.  Its
-reduced-operator conjugation and collapse/lift round trip keep the public
-``lift``, ``step`` and ``collapse`` on the five class basis states.
+A given block X leaves b1ᵀ - Xᵀ after one step, b its scaled column sums
+(``_column_sums``, the kernel's one read of X), and the kernel takes that
+one step only: ``step`` and ``verify`` call it so, and only ``step``
+builds a block, the one it returns, in one allocation.  A given state
+evolves further by iterating ``step``, O(N^2) per step.  ``verify`` steps
+each random state in both leaf phases from one such read and reads the
+steps and the commutation's two sides as these vectors, with
+``_off_diagonal_square`` for the commutation's norm: no N x N array is
+built but the draw.  Its reduced-operator conjugation steps the five
+lifted class basis states as ``_Affine`` starts; only its collapse/lift
+round trip keeps the public ``lift`` and ``collapse``.
 
 Only a[w] + b[u] is observable, so a constant can move between the two
 vectors.  Left alone, a and b drift apart linearly in t and cancel: by
@@ -51,8 +51,8 @@ step through the optimal time it is within 1.3e-13 of
 
 From the uniform start the walk is real (a real coin, leaf phase +-1), so
 ``initial_state`` is float64 and the oracle runs in real arithmetic.  The
-step, shift and projections work for any dtype, so a complex state steps
-in complex arithmetic.
+step and projections work for any dtype, so a complex state steps in
+complex arithmetic.
 
 The public functions never write to their inputs; a state can be handed
 between threads and parameter sweeps can run concurrently on independent
@@ -97,12 +97,6 @@ def initial_state(graph: GluedGraph) -> WalkState:
     return WalkState(clique, np.zeros(m), np.zeros(m))
 
 
-def shift(graph: GluedGraph, state: WalkState) -> WalkState:
-    """Arc-inversion shift: the transposed block, the star vectors swapped.
-    Applying it twice returns the input exactly."""
-    return WalkState(state.clique.T, state.star_out, state.star_in, state.time)
-
-
 class _Affine(NamedTuple):
     """A structured start with X = 0: the clique block 1aᵀ + b1ᵀ off its
     diagonal (entry u -> w is a[w] + b[u]), and the star vectors.  A step
@@ -121,15 +115,18 @@ def _check_shapes(arrays, needed) -> None:
         raise ValueError(f"state has shapes {shapes}, graph needs {needed}")
 
 
-def _advance(graph: GluedGraph, state: WalkState | _Affine | None, leaf_phase: LeafPhase, steps):
+def _advance(graph: GluedGraph, state: WalkState | _Affine | None, leaf_phase: LeafPhase,
+             steps, columns=None):
     """The step kernel: an iterator of ``(a, b, star_in, star_out)`` after
     each of the ascending step counts ``steps`` from ``state``: ``None`` (the
     uniform start, a = c·1), an ``_Affine`` start or a ``WalkState``.  After
     t steps the block is 1aᵀ + b1ᵀ off its diagonal; ``hub_series`` reads
     it.  A ``WalkState``'s block X is carried one step only, to b1ᵀ - Xᵀ
-    (``_clique``), so a later step count raises.  The yielded arrays are the
-    kernel's own and change on the next step.  The start is checked and read
-    on the call, so a bad one raises even when no step is asked for.
+    (``_clique``), so a later step count raises; a caller that steps one
+    state in both leaf phases passes ``_column_sums(state)`` as ``columns``.
+    The yielded arrays are the kernel's own and change on the next step.
+    The start is checked and read on the call, so a bad one raises even when
+    no step is asked for.
 
     With f = 2/(N-1) the incoming sums of the block are
     g[w] = (N-1)a[w] - b[w] + sum(b), and the coin and shift give a' = -b and
@@ -160,9 +157,16 @@ def _advance(graph: GluedGraph, state: WalkState | _Affine | None, leaf_phase: L
         a, b = np.zeros(n, dtype), np.zeros(n, dtype)
         star_in, star_out = np.array(state.star_in, dtype), np.array(state.star_out, dtype)
         a_sum = 0.0
-        column = np.add.reduce(state.clique, axis=0, dtype=dtype)
+        column = _column_sums(state) if columns is None else columns
     reverse = leaf_phase is LeafPhase.REVERSAL
     return _steps(a, b, star_in, star_out, a_sum, column, reverse, steps)
+
+
+def _column_sums(state: WalkState) -> np.ndarray:
+    """A given block's column sums, diagonal included, in the dtype that its
+    step runs in: the kernel's one read of the block."""
+    dtype = np.result_type(state.clique, state.star_in, state.star_out, np.float64)
+    return np.add.reduce(state.clique, axis=0, dtype=dtype)
 
 
 def _steps(a, b, star_in, star_out, a_sum, column, reverse, steps):

@@ -3,12 +3,11 @@
 Runs the consistency checks that tie the three evaluators together on one
 parameter point: full arc-space evolution against the reduced iteration,
 the reduced operator against the conjugated full operator, commutation of
-the evolution with the class-averaging projection, unitarity, shift
-involution, the residuals of the analytic eigenpairs, the numeric
-eigenvectors against them inside their domain, and the eigenbasis
-evaluator against plain iteration.  Each check is held to one fixed
-tolerance in ``TOLERANCES``.  Used by the command-line ``verify`` command
-and by the tests.
+the evolution with the class-averaging projection, unitarity, the
+residuals of the analytic eigenpairs, the numeric eigenvectors against
+them inside their domain, and the eigenbasis evaluator against plain
+iteration.  Each check is held to one fixed tolerance in ``TOLERANCES``.
+Used by the command-line ``verify`` command and by the tests.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import collapsed as cw
 from . import full_walk as fw
-from .graph import HUB, GluedGraph, LeafPhase, build_graph
+from .graph import HUB, GluedGraph, LeafPhase, build_graph, class_sizes
 from .spectral import (
     NUMERIC_TOLERANCE,
     RESIDUAL_TOLERANCE,
@@ -67,13 +66,12 @@ RANDOM_STATES = 20
 
 #: Every check's fixed tolerance, in the order ``run_checks`` reports them.
 #: A check passes when its deviation is below its tolerance; the checks in
-#: INCLUSIVE pass at it too, so shift_involution, a largest difference held
-#: to 0, passes only at exactly 0.  A NaN deviation fails every check.
+#: INCLUSIVE pass at it too, as in ``spectrum``.  A NaN deviation fails
+#: every check.
 TOLERANCES = {
     "full_vs_collapsed_probability": 1e-10,
     "projection_commutation": 1e-12,
     "unitarity": 1e-12,
-    "shift_involution": 0.0,
     "reduced_operator_conjugation": 1e-13,
     "spectral_residuals": RESIDUAL_TOLERANCE,
     "numeric_eigenvectors": NUMERIC_TOLERANCE,
@@ -81,7 +79,7 @@ TOLERANCES = {
     "discriminant_identities": 1e-12,
     "collapse_lift_roundtrip": 1e-14,
 }
-INCLUSIVE = frozenset({"shift_involution", "numeric_eigenvectors"})
+INCLUSIVE = frozenset({"numeric_eigenvectors"})
 
 
 def judge(name: str, deviation: float, detail: str = "") -> CheckResult:
@@ -91,11 +89,10 @@ def judge(name: str, deviation: float, detail: str = "") -> CheckResult:
     return CheckResult(name, passed, deviation, tolerance, detail)
 
 
-def random_walk_states(
-    graph: GluedGraph, count: int, seed: int
-) -> Iterator[fw.WalkState]:
+def random_walk_states(graph: GluedGraph, count: int, seed: int) -> Iterator[fw.WalkState]:
     """Random unit states on the arc space, drawn one at a time from one
-    generator, so a caller that keeps none holds one state at a time.
+    generator into one buffer: each draw overwrites the state yielded before
+    it, so a caller that keeps a state copies it.
 
     Each state is one block of 2(N^2 + 2m) uniform doubles, centred and read
     as complex amplitudes, so both parts of every arc are uniform on
@@ -103,28 +100,27 @@ def random_walk_states(
     place to a unit state.  The checks it feeds are identities that hold for
     every state, so any seeded draw with a density exercises them, and one
     uniform block costs a fifth of a Gaussian pair.  ``run_checks`` checks
-    each state on the structured kernel and holds about two complex copies
-    of the arcs at its peak (``tracemalloc``: 2.1 at N = 400): a state, and
-    either the one before it while it is drawn or the involution's
-    difference."""
+    each state on the structured kernel and holds about one complex copy of
+    the arcs at its peak, the buffer (``tracemalloc``: 1.06 at N = 400)."""
     rng = np.random.default_rng(seed)
     n, m = graph.n_clique, graph.n_leaves
-    size = n * n + 2 * m
+    flat = np.empty(2 * (n * n + 2 * m))
+    psi = flat.view(np.complex128)
+    clique = psi[: n * n].reshape(n, n)  # a view: the fill writes psi
+    state = fw.WalkState(clique, psi[n * n : n * n + m], psi[n * n + m :])
     for _ in range(count):
-        flat = rng.random(2 * size)
+        rng.random(out=flat)
         flat -= 0.5
-        psi = flat.view(np.complex128)
-        clique = psi[: n * n].reshape(n, n)  # a view: the fill writes psi
         np.fill_diagonal(clique, 0.0)
         flat /= np.linalg.norm(flat)
-        yield fw.WalkState(clique, psi[n * n : n * n + m], psi[n * n + m :])
+        yield state
 
 
 def _random_state_deviations(
     graph: GluedGraph, state: fw.WalkState, leaf_phase: LeafPhase, other_phase: LeafPhase
-) -> tuple[float, float, float]:
-    """One state's projection-commutation, unitarity (the worse of the two
-    leaf phases) and shift-involution deviations, on the structured kernel.
+) -> tuple[float, float]:
+    """One state's projection-commutation and unitarity (the worse of the two
+    leaf phases) deviations, on the structured kernel.
 
     A step from the state's block X (zero diagonal, as every ``WalkState``'s)
     leaves b1ᵀ - Xᵀ off the diagonal, with a = 0 (``full_walk._advance``), so
@@ -132,9 +128,9 @@ def _random_state_deviations(
     being X's column sums, and its class sums follow from b, cs and X's
     hub-row sum.  The lift of five class amplitudes is an ``_Affine`` start
     and a step from it another, so the commutation's two sides differ by
-    O(N + m) vectors.  X is read by reductions (its column sums, here and
-    in each step, and its squared norm) and by the involution's compare,
-    whose difference is the one N x N array built."""
+    O(N + m) vectors.  X is read by the kernel's column sums, which both
+    steps share, and apart from the kernel by the check's own column sums
+    and squared norm; no N x N array is built."""
     n = graph.n_clique
     x = state.clique
     columns = np.add.reduce(x, axis=0)
@@ -144,9 +140,9 @@ def _random_state_deviations(
     interior = columns.sum() - columns[HUB] - hub_row
     class_sums = (interior, columns[HUB], hub_row, state.star_in.sum(), state.star_out.sum())
 
-    unitarity = 0.0
+    unitarity, kernel_columns = 0.0, fw._column_sums(state)
     for phase in (other_phase, leaf_phase):  # the step in leaf_phase is kept
-        _, b, star_in, star_out = next(fw._advance(graph, state, phase, (1,)))
+        _, b, star_in, star_out = next(fw._advance(graph, state, phase, (1,), kernel_columns))
         norm2 = ((n - 1) * np.vdot(b, b) - 2 * np.vdot(columns, b) + x_norm2
                  + np.vdot(star_in, star_in) + np.vdot(star_out, star_out)).real
         unitarity = np.maximum(unitarity, abs(np.sqrt(norm2) - 1.0))
@@ -164,48 +160,45 @@ def _random_state_deviations(
     a_diff, b_diff, in_diff, out_diff = (l - r for l, r in zip(left, right))
     stars = (np.vdot(in_diff, in_diff) + np.vdot(out_diff, out_diff)).real
     commutation = np.sqrt(fw._off_diagonal_square(a_diff, b_diff) + stars)
-
-    involution = 0.0
-    twice = fw.shift(graph, fw.shift(graph, state))
-    for again, once in zip((twice.clique, twice.star_in, twice.star_out),
-                           (state.clique, state.star_in, state.star_out)):
-        parts = (again - once).view(np.float64)  # real and imaginary parts apart
-        involution = np.maximum(involution, np.abs(parts, out=parts).max())
-    return commutation, unitarity, involution
+    return commutation, unitarity
 
 
 def _random_state_checks(
     graph: GluedGraph, leaf_phase: LeafPhase, other_phase: LeafPhase, seed: int
 ) -> list[CheckResult]:
     """On ``RANDOM_STATES`` random unit states: commutation of the step with
-    the class-averaging projection, unitarity in both leaf phases, and the
-    shift's involution, each at its worst state.  np.maximum keeps a NaN
-    deviation, which the builtin max would drop.  No state outlives the
-    call."""
-    worst = np.zeros(3)
+    the class-averaging projection, and unitarity in both leaf phases, each
+    at its worst state.  np.maximum keeps a NaN deviation, which the builtin
+    max would drop.  No state outlives the call."""
+    worst = np.zeros(2)
     for state in random_walk_states(graph, RANDOM_STATES, seed):
         worst = np.maximum(worst, _random_state_deviations(graph, state, leaf_phase, other_phase))
-    commutation, unitarity, involution = worst
+    commutation, unitarity = worst
     return [
         judge("projection_commutation", commutation, f"{RANDOM_STATES} random unit states"),
         judge("unitarity", unitarity),
-        judge("shift_involution", involution, "bitwise equality required"),
     ]
 
 
-def conjugated_reduced_operator(
-    graph: GluedGraph, leaf_phase: LeafPhase
-) -> np.ndarray:
+def conjugated_reduced_operator(graph: GluedGraph, leaf_phase: LeafPhase) -> np.ndarray:
     """The 5x5 matrix obtained by sandwiching one full step between lift and
-    collapse; must reproduce the closed-form reduced operator."""
+    collapse; must reproduce the closed-form reduced operator.
+
+    The lift of each class basis state is an ``_Affine`` start, so its step
+    is O(N + m) and the stepped block 1aᵀ + b1ᵀ is collapsed from a and b.
+    With Σ' a sum off the hub, its interior arcs sum to (N-2)(Σ'a + Σ'b),
+    the arcs into the hub to (N-1)a[HUB] + Σ'b and those out of it to
+    Σ'a + (N-1)b[HUB]."""
+    n, m = graph.n_clique, graph.n_leaves
+    scale = np.sqrt(np.asarray(class_sizes(n, m), dtype=np.float64))
     matrix = np.zeros((5, 5), dtype=np.complex128)
-    for j in range(5):
-        basis = np.zeros(5, dtype=np.complex128)
-        basis[j] = 1.0
-        lifted = fw.lift(graph, cw.CollapsedState(amplitudes=basis))
-        # the step inline, so that no stepped block outlives its column
-        matrix[:, j] = fw.collapse(graph, fw.step(graph, lifted, leaf_phase)).amplitudes
-    return matrix
+    for j, sums in enumerate(np.diag(scale)):  # the class sums of each lift
+        start = fw._lifted(graph, sums)
+        a, b, star_in, star_out = next(fw._advance(graph, start, leaf_phase, (1,)))
+        a_rest, b_rest = a.sum() - a[HUB], b.sum() - b[HUB]
+        matrix[:, j] = ((n - 2) * (a_rest + b_rest), (n - 1) * a[HUB] + b_rest,
+                        a_rest + (n - 1) * b[HUB], star_in.sum(), star_out.sum())
+    return matrix / scale[:, None]
 
 
 def run_checks(
@@ -289,12 +282,10 @@ def run_checks(
     )
 
     # collapse/lift round trip is the identity on the class-uniform space
-    basis = np.eye(5, dtype=np.complex128)
     dev = 0.0
-    for j in range(5):
-        state = cw.CollapsedState(amplitudes=basis[:, j].copy())
-        back = fw.collapse(graph, fw.lift(graph, state)).amplitudes
-        dev = np.maximum(dev, np.abs(back - basis[:, j]).max())
+    for basis in np.eye(5, dtype=np.complex128):  # one lifted block at a time
+        back = fw.collapse(graph, fw.lift(graph, cw.CollapsedState(amplitudes=basis))).amplitudes
+        dev = np.maximum(dev, np.abs(back - basis).max())
     checks.append(judge("collapse_lift_roundtrip", dev))
 
     return VerificationReport(

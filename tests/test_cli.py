@@ -268,6 +268,30 @@ def test_verify_arc_budget_exits_3_before_any_draw(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize(
+    "option,value,message",
+    [
+        ("--seed", "-1", "--seed must be non-negative, got -1"),
+        ("--arc-budget", "-5", "--arc-budget must be at least 1, got -5"),
+        ("--arc-budget", "0", "--arc-budget must be at least 1, got 0"),
+    ],
+)
+def test_verify_names_a_bad_seed_or_budget_before_any_draw(
+    tmp_path, capsys, monkeypatch, option, value, message
+):
+    # numpy's own message for a negative seed named no option, and a
+    # negative budget read as a resource running out (exit 3)
+    def no_checks(*args, **kwargs):
+        raise AssertionError("run_checks called with a bad option")
+
+    monkeypatch.setattr("starclique.cli.run_checks", no_checks)
+    out = tmp_path / "report.json"
+    args = ["verify", "--n", "10", "--m", "2", "--steps", "5", option, value, "--out", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["spectrum", "--n", "100", "--m", "5", "--format", "csv"],
@@ -312,6 +336,8 @@ def test_removed_options_are_argparse_errors(tmp_path, capsys, args):
         ["phase-diagram", "--alphas", "0,0.5",  # beyond the float range
          "--n-grid", ",".join(str(k * 10**200) for k in (1, 2, 4, 8))],
         ["optimal-time", "--n", str(84 * 10**17), "--alpha", "0"],  # t_opt beyond int64
+        ["verify", "--n", "10", "--m", "2", "--steps", "5", "--seed", "-1"],
+        ["verify", "--n", "10", "--m", "2", "--steps", "5", "--arc-budget", "-5"],
     ],
 )
 def test_config_errors_leave_no_file(tmp_path, capsys, args):
