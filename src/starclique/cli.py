@@ -228,7 +228,7 @@ def _cmd_optimal_time(args: argparse.Namespace) -> int:
         print(f"{key}={value}")
     if args.out:
         path = _out_path(args, "")
-        _write_json(path, record)
+        _write_json(path, {"version": __version__, **record})
     return 0
 
 
@@ -301,12 +301,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"verify needs {arcs} arcs, beyond the budget of {args.arc_budget}; "
             "raise --arc-budget"
         )
+    phase = _PHASES[args.leaf_phase]
     report = run_checks(
         sizes.n,
         sizes.m,
         steps=args.steps,
         seed=args.seed,
-        leaf_phase=_PHASES[args.leaf_phase],
+        leaf_phase=phase,
         inject_leaf_phase_flip=args.inject_leaf_phase_flip,
     )
     for check in report.checks:
@@ -317,7 +318,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     if args.out:
         path = _out_path(args, "")
-        _write_json(path, report.to_json_dict())
+        _write_json(path, {
+            "version": __version__,
+            "leaf_phase": phase.value,
+            "inject_leaf_phase_flip": args.inject_leaf_phase_flip,
+            **report.to_json_dict(),
+        })
     return 0 if report.passed else 1
 
 
@@ -340,51 +346,42 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), help="output format")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="starclique",
-        description="Quantum-walk search for the glue vertex of a clique "
-        "with a pendant star.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_simulate_options(parser: argparse.ArgumentParser) -> None:
+    _add_size_options(parser)
+    _add_output_options(parser)
+    parser.add_argument("--steps", type=int, help="number of walk steps (>= 1)")
+    parser.add_argument("--mode", choices=_MODES, default="collapsed")
+    parser.add_argument("--leaf-phase", choices=tuple(_PHASES), default="reverse")
 
-    sim = sub.add_parser("simulate", help="emit a hub-probability trace")
-    _add_size_options(sim)
-    _add_output_options(sim)
-    sim.add_argument("--steps", type=int, help="number of walk steps (>= 1)")
-    sim.add_argument("--mode", choices=_MODES, default="collapsed")
-    sim.add_argument("--leaf-phase", choices=tuple(_PHASES), default="reverse")
-    sim.set_defaults(func=_cmd_simulate)
 
-    spectrum = sub.add_parser("spectrum", help="emit the reduced-walk eigensystem")
-    _add_size_options(spectrum)
-    spectrum.add_argument("--out", help="JSON output path (default: derived name)")
-    spectrum.set_defaults(func=_cmd_spectrum)
+def _add_spectrum_options(parser: argparse.ArgumentParser) -> None:
+    _add_size_options(parser)
+    parser.add_argument("--out", help="JSON output path (default: derived name)")
 
-    opt = sub.add_parser("optimal-time", help="optimal running time and its probability")
-    _add_size_options(opt)
-    opt.add_argument("--out", help="optional JSON output path")
-    opt.set_defaults(func=_cmd_optimal_time)
 
-    phase = sub.add_parser("phase-diagram", help="fit scaling exponents over a grid")
-    phase.add_argument(
+def _add_optimal_time_options(parser: argparse.ArgumentParser) -> None:
+    _add_size_options(parser)
+    parser.add_argument("--out", help="optional JSON output path")
+
+
+def _add_phase_diagram_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "--alphas", default="0,0.5,1,1.5,2", help="comma-separated alpha grid"
     )
-    phase.add_argument(
+    parser.add_argument(
         "--n-grid",
         default="256,1024,4096,16384,65536",
         help="comma-separated clique sizes (>= 4 distinct values)",
     )
-    _add_output_options(phase)
-    phase.set_defaults(func=_cmd_phase_diagram)
+    _add_output_options(parser)
 
-    ver = sub.add_parser("verify", help="run the cross-evaluator checks")
-    _add_size_options(ver)
-    ver.add_argument("--steps", type=int, default=200)
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--leaf-phase", choices=tuple(_PHASES), default="reverse")
-    ver.add_argument(
+
+def _add_verify_options(parser: argparse.ArgumentParser) -> None:
+    _add_size_options(parser)
+    parser.add_argument("--steps", type=int, default=200)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--leaf-phase", choices=tuple(_PHASES), default="reverse")
+    parser.add_argument(
         "--arc-budget",
         type=int,
         default=DEFAULT_ARC_BUDGET,
@@ -393,19 +390,54 @@ def build_parser() -> argparse.ArgumentParser:
         "holds about 1 complex copy of the arcs, 16 bytes per arc; exit code 3 "
         "when exceeded",
     )
-    ver.add_argument("--out", help="optional JSON report path")
-    ver.add_argument(
+    parser.add_argument("--out", help="optional JSON report path")
+    parser.add_argument(
         "--inject-leaf-phase-flip",
         action="store_true",
         help="self-test hook: corrupt the full evolution's leaf phase",
     )
-    ver.set_defaults(func=_cmd_verify)
 
+
+#: Each command's help line, the function that adds its options, and its handler.
+_COMMANDS = {
+    "simulate": ("emit a hub-probability trace", _add_simulate_options, _cmd_simulate),
+    "spectrum": ("emit the reduced-walk eigensystem", _add_spectrum_options, _cmd_spectrum),
+    "optimal-time": (
+        "optimal running time and its probability", _add_optimal_time_options, _cmd_optimal_time
+    ),
+    "phase-diagram": (
+        "fit scaling exponents over a grid", _add_phase_diagram_options, _cmd_phase_diagram
+    ),
+    "verify": ("run the cross-evaluator checks", _add_verify_options, _cmd_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every command is registered, so the help,
+    the usage line and the invalid-choice errors are always the same; the
+    options and handler are added for ``command`` only, or for every command
+    when it is None."""
+    parser = argparse.ArgumentParser(
+        prog="starclique",
+        description="Quantum-walk search for the glue vertex of a clique "
+        "with a pendant star.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_options, handler) in _COMMANDS.items():
+        built = command is None or name == command
+        subparser = sub.add_parser(name, help=help_line, add_help=built)
+        if built:
+            add_options(subparser)
+            subparser.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:

@@ -1,8 +1,10 @@
+import argparse
 import dataclasses
 import json
 import math
 import os
 import stat
+import sys
 import tracemalloc
 from functools import partial
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import starclique as sc
-from starclique.cli import main
+from starclique.cli import build_parser, main
 from starclique.trace import ProbabilityTrace
 
 
@@ -611,3 +613,98 @@ def test_spectral_residual_fails_spectrum_and_verify(tmp_path, capsys, monkeypat
     assert not out.exists()
     assert main(["verify", "--n", "10", "--m", "3", "--steps", "20"]) == 1
     assert "FAIL spectral_residuals" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("phase, flip", [("reverse", False), ("plain", False), ("reverse", True)])
+def test_verify_report_names_its_version_and_leaf_phase(tmp_path, capsys, phase, flip):
+    out = tmp_path / "report.json"
+    args = ["verify", "--n", "10", "--m", "3", "--steps", "20", "--leaf-phase", phase,
+            "--out", str(out)]
+    assert main(args + ["--inject-leaf-phase-flip"] * flip) == int(flip)
+    report = json.loads(out.read_text())
+    assert report["version"] == sc.__version__
+    assert report["leaf_phase"] == {"reverse": "reversal", "plain": "plain"}[phase]
+    assert report["inject_leaf_phase_flip"] is flip
+    # the provenance is in the file only
+    assert "version" not in capsys.readouterr().out
+
+
+def test_optimal_time_report_names_its_version(tmp_path, capsys):
+    out = tmp_path / "optimal.json"
+    assert main(["optimal-time", "--n", "1000", "--alpha", "0.5", "--out", str(out)]) == 0
+    record = _parse_record(capsys.readouterr().out)
+    report = json.loads(out.read_text())
+    assert report.pop("version") == sc.__version__
+    assert list(report) == list(record)
+    assert report["t_opt_exact"] == int(record["t_opt_exact"])
+
+
+#: A representative argv of each command, with every option it takes.
+_COMMAND_ARGV = {
+    "simulate": ["simulate", "--n", "57", "--alpha", "0.5", "--steps", "300", "--mode",
+                 "full", "--leaf-phase", "plain", "--format", "json", "--out", "t.json"],
+    "spectrum": ["spectrum", "--n", "100", "--m", "10", "--out", "s.json"],
+    "optimal-time": ["optimal-time", "--n", "1000", "--alpha", "0.5", "--out", "o.json"],
+    "phase-diagram": ["phase-diagram", "--alphas", "0,1", "--n-grid", "16,32,64,128",
+                      "--format", "csv", "--out", "p.csv"],
+    "verify": ["verify", "--n", "30", "--m", "5", "--steps", "100", "--seed", "7",
+               "--leaf-phase", "plain", "--arc-budget", "100000", "--out", "v.json",
+               "--inject-leaf-phase-flip"],
+}
+
+
+def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[command]
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_ARGV))
+def test_one_command_parser_reads_as_the_full_parser(command):
+    full, one = build_parser(), build_parser(command)
+    assert one.format_help() == full.format_help()
+    assert one.format_usage() == full.format_usage()
+    assert _subparser(one, command).format_help() == _subparser(full, command).format_help()
+    assert _subparser(one, command).format_usage() == _subparser(full, command).format_usage()
+    argv = _COMMAND_ARGV[command]
+    assert one.parse_args(argv) == full.parse_args(argv)
+    assert one.parse_args(argv[:1]) == full.parse_args(argv[:1])  # every default
+    # the other commands are registered by name only
+    for other in set(_COMMAND_ARGV) - {command}:
+        assert not _subparser(one, other)._actions
+
+
+def _outcome(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["--version"],
+        [],
+        ["optimize", "--n", "1000"],
+        ["--n", "1000", "optimal-time"],
+        ["optimal-time", "--n", "1000", "--alpha", "0.5", "--bogus"],
+        ["optimal-time", "--n", "1000", "--alpha"],
+        ["simulate", "--n", "57", "--alpha", "0.5", "--steps", "x"],
+        ["verify", "--n", "30", "--m", "5", "extra"],
+        ["optimal-time", "--n", "1000", "--alpha", "0.5", "--version"],
+    ] + [[command, "--help"] for command in _COMMAND_ARGV],
+    ids=lambda argv: " ".join(argv) or "empty",
+)
+def test_main_reads_argv_as_the_full_parser(argv, capsys):
+    expected = _outcome(build_parser().parse_args, argv, capsys)
+    assert _outcome(main, argv, capsys) == expected
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    argv = ["optimal-time", "--n", "1000", "--alpha", "0.5"]
+    assert main(argv) == 0
+    given = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["starclique"] + argv)
+    assert main() == 0
+    assert capsys.readouterr() == given
