@@ -26,7 +26,6 @@ from .collapsed import (
 from .full_walk import (
     WalkState,
     collapse,
-    evolve,
     initial_state,
     lift,
     step,
@@ -39,6 +38,7 @@ from .graph import (
     class_sizes,
     leaves_from_alpha,
 )
+from .modes import hub_trace
 from .spectral import (
     EigenbasisEvaluator,
     SpectrumReport,
@@ -72,9 +72,9 @@ __all__ = [
     "collapse",
     "collapsed_initial_state",
     "discriminant_angles",
-    "evolve",
     "evolve_collapsed",
     "exponent_fit",
+    "hub_trace",
     "initial_state",
     "leaves_from_alpha",
     "lift",

@@ -20,24 +20,21 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import __version__
 from . import asymptotics as asym
-from . import collapsed as cw
-from . import full_walk as fw
 from . import spectral
 from .audit import audit_closed_forms
-from .graph import LeafPhase, build_graph, leaves_from_alpha
-from .trace import ProbabilityTrace, trace_metadata
+from .graph import LeafPhase, leaves_from_alpha
+from .modes import MODES, hub_trace
+from .trace import ProbabilityTrace
 from .verify import run_checks
 
 DEFAULT_ARC_BUDGET = 10**7
 _INT64_MAX = 2**63 - 1
 
-_MODES = ("full", "collapsed", "closed", "asymptotic")
 _PHASES = {"reverse": LeafPhase.REVERSAL, "plain": LeafPhase.PLAIN}
 
 
@@ -152,25 +149,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.steps is None or args.steps < 1:
         raise ConfigError("--steps must be at least 1")
     phase = _PHASES[args.leaf_phase]
-    if args.mode in ("closed", "asymptotic") and phase is not LeafPhase.REVERSAL:
+    row = MODES[args.mode]
+    if phase not in row.phases:
         raise ConfigError(f"{args.mode} mode evaluates the phase-reversal walk only")
-    if args.mode == "asymptotic" and sizes.alpha is None:
-        raise ConfigError("asymptotic mode requires --alpha")
-
-    # the mode's evaluator with its setup bound: times -> HubSeries
-    if args.mode == "full":
-        graph = build_graph(sizes.n, sizes.m)
-        series = partial(fw.hub_series, graph, phase)
-    elif args.mode == "collapsed":
-        ops = cw.build_reduced_operators(sizes.n, sizes.m, phase)
-        start = cw.collapsed_initial_state(sizes.n, sizes.m)
-        series = partial(cw.hub_series, ops, start)
-    elif args.mode == "closed":
-        series = spectral.EigenbasisEvaluator(sizes.n, sizes.m).hub_series
-    else:
-        series = partial(asym.hub_series, sizes.n, sizes.alpha)
-    metadata = trace_metadata(sizes.n, sizes.m, args.mode, phase, sizes.alpha)
-    trace = ProbabilityTrace.from_series(series, args.steps, metadata)
+    if row.needs_alpha and sizes.alpha is None:
+        raise ConfigError(f"{args.mode} mode requires --alpha")
+    trace = hub_trace(args.mode, sizes.n, sizes.m, args.steps, phase, sizes.alpha)
     path = _write_trace(args, trace, f"trace_n{sizes.n}_m{sizes.m}_{args.mode}")
     print(path)
     return 0
@@ -350,7 +334,7 @@ def _add_simulate_options(parser: argparse.ArgumentParser) -> None:
     _add_size_options(parser)
     _add_output_options(parser)
     parser.add_argument("--steps", type=int, help="number of walk steps (>= 1)")
-    parser.add_argument("--mode", choices=_MODES, default="collapsed")
+    parser.add_argument("--mode", choices=tuple(MODES), default="collapsed")
     parser.add_argument("--leaf-phase", choices=tuple(_PHASES), default="reverse")
 
 

@@ -14,13 +14,13 @@ transposes the result.  So a block 1aᵀ + b1ᵀ + diag(d), with length-N
 vectors a and b and d whatever makes the diagonal zero, keeps that form,
 and a step updates a, b and the star vectors on preallocated buffers:
 O(N + m) work.  The uniform start is one (a = c·1, b = 0, d = -c·1), so
-``hub_series`` and ``evolve``, which run from it, hold O(N + m) memory and
-no N x N array.  The probe reads the hub column a[HUB] + b in O(N), a
-block of rows at a time, so that per step it makes one numpy add and one
-copy and the rest of its calls run once per block.  One kernel,
-``_advance``, runs every step for ``step``, ``hub_series`` and ``evolve``,
-and for ``verify``'s random-state checks.  It does not use the five-class
-symmetry, so it checks ``collapsed`` independently.  It also starts from
+``hub_series``, which runs from it, holds O(N + m) memory and no N x N
+array.  The probe reads the hub column a[HUB] + b in O(N), a block of
+rows at a time, so that per step it makes one numpy add and one copy and
+the rest of its calls run once per block.  One kernel, ``_advance``, runs
+every step for ``step`` and ``hub_series``, and for ``verify``'s
+random-state checks.  It does not use the five-class symmetry, so it
+checks ``collapsed`` independently.  It also starts from
 an ``_Affine`` start, a and b given: the lift of five class amplitudes is
 one (``_lifted``), so a step from lift(collapse(psi)) costs O(N + m).
 
@@ -45,9 +45,9 @@ scalar terms.  Measured with it and the block probe: over 250 steps,
 both leaf phases, N from 3 to 2200 and m = 1, isqrt(N) and N, the uniform
 series is within 1.4e-14 of a longdouble dense reference (the dense
 float64 kernel this replaces drifted to 2.0e-13 at N = 2200); at every
-step through the optimal time it is within 1.3e-13 of
-``spectral.hub_series`` at (1e5, 316), 5.3e-13 at (1e4, 1) and 3.0e-12 at
-(1e5, 1).
+step through the optimal time it is within 1.3e-13 of the closed form
+(``EigenbasisEvaluator.hub_series``) at (1e5, 316), 5.3e-13 at (1e4, 1)
+and 3.0e-12 at (1e5, 1).
 
 From the uniform start the walk is real (a real coin, leaf phase +-1), so
 ``initial_state`` is float64 and the oracle runs in real arithmetic.  The
@@ -63,14 +63,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .collapsed import CollapsedState, ascending_steps
 from .graph import HUB, ArcClass, GluedGraph, LeafPhase, class_sizes
-from .trace import HubSeries, ProbabilityTrace, trace_metadata
+from .trace import HubSeries
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,13 +344,3 @@ def hub_series(graph: GluedGraph, leaf_phase: LeafPhase, times) -> HubSeries:
     star_in /= math.sqrt(m)
     return p, clique_in, star_in
 
-
-def evolve(
-    graph: GluedGraph, t_max: int, leaf_phase: LeafPhase = LeafPhase.REVERSAL
-) -> ProbabilityTrace:
-    """Run ``t_max`` steps from the uniform start, recording the hub
-    probability and the collapsed amplitudes on the two hub-bound classes
-    at every step (t_max + 1 rows)."""
-    metadata = trace_metadata(graph.n_clique, graph.n_leaves, "full", leaf_phase)
-    series = partial(hub_series, graph, leaf_phase)
-    return ProbabilityTrace.from_series(series, t_max, metadata)

@@ -6,11 +6,12 @@ cos(theta_1) > cos(theta_2) generate the whole reduced spectrum
 every eigenpair in closed form: the reduced step turns each of two planes
 by its angle theta_x and flips the sign of one more vector.
 
-* ``EigenbasisEvaluator`` holds that analytic two-plane eigenbasis.  It is
-  the one implementation behind ``hub_series``, ``closed_form_probability``
-  and ``simulate --mode closed``: cos(t theta_x) and sin(t theta_x) terms
-  with O(1) coefficients written without cancellation, no eigensolver and
-  no iteration, exact to about 1e-16 up to N = 1e18.
+* ``EigenbasisEvaluator`` holds that analytic two-plane eigenbasis.  Its
+  ``hub_series`` is the one implementation behind
+  ``closed_form_probability`` and ``simulate --mode closed``:
+  cos(t theta_x) and sin(t theta_x) terms with O(1) coefficients written
+  without cancellation, no eigensolver and no iteration, exact to about
+  1e-16 up to N = 1e18.
 * ``walk_eigensystem`` is the only numeric code.  It reports the analytic
   eigenpairs with their residuals against the float64 step and their
   deviation from one numeric eigendecomposition.  That deviation is held
@@ -236,19 +237,14 @@ class EigenbasisEvaluator:
         return hub_probability(clique_in, star_in), clique_in, star_in
 
 
-def hub_series(n_clique: int, n_leaves: int, times: Sequence[int]) -> HubSeries:
-    """Hub series of the phase-reversal walk in closed form, O(1) per time:
-    the ``EigenbasisEvaluator`` series, with no eigensolver and no iteration."""
-    return EigenbasisEvaluator(n_clique, n_leaves).hub_series(times)
-
-
 def closed_form_probability(n_clique: int, n_leaves: int, t: int) -> float:
-    """Hub probability at time t, the one row of ``hub_series`` at t.
+    """Hub probability at time t, the one row of the
+    ``EigenbasisEvaluator`` series at t.
 
     O(1) at any clique size: no eigensolver and no iteration, exact to
     about 1e-16 up to N = 1e18 (checked against a 50-digit reference).
     """
-    return float(hub_series(n_clique, n_leaves, [t])[0][0])
+    return float(EigenbasisEvaluator(n_clique, n_leaves).hub_series([t])[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -36,17 +36,18 @@ _CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 _JSON_ITEMS = json.JSONEncoder(separators=(",\n   ", ": "))
 
 
-#: What every evaluator's ``hub_series(times)`` returns, one row per time:
+#: What the series of every mode in ``modes.MODES`` returns for ``times``,
+#: one row per time:
 #: (p_hub, psi_clique_in, psi_star_in), the columns of a trace.
 HubSeries = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def step_counts(times) -> np.ndarray:
     """The step counts of a series request as int64, each a whole number
-    from 0 to 2**63 - 1; every evaluator's ``hub_series`` reads its times
-    here.  Signed integers go straight to the cast; any other count is
-    checked first, since the cast would truncate a fraction and wrap a
-    count beyond int64."""
+    from 0 to 2**63 - 1; the series of every mode in ``modes.MODES``
+    reads its times here.  Signed integers go straight to the cast; any
+    other count is checked first, since the cast would truncate a fraction
+    and wrap a count beyond int64."""
     values = np.asarray(times)
     kind = values.dtype.kind
     if kind not in "biu" and not (np.floor(values) == values).all():

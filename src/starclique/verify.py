@@ -20,10 +20,10 @@ import numpy as np
 from . import collapsed as cw
 from . import full_walk as fw
 from .graph import HUB, GluedGraph, LeafPhase, build_graph, class_sizes
+from .modes import hub_trace
 from .spectral import (
     NUMERIC_TOLERANCE,
     RESIDUAL_TOLERANCE,
-    EigenbasisEvaluator,
     discriminant_angles,
     walk_eigensystem,
 )
@@ -80,6 +80,10 @@ TOLERANCES = {
     "collapse_lift_roundtrip": 1e-14,
 }
 INCLUSIVE = frozenset({"numeric_eigenvectors"})
+
+#: The modes whose traces the trace checks compare, built as ``simulate``
+#: builds them: the oracle, the reduced iteration and the closed form.
+_ORACLE, _REDUCED, _CLOSED = "full", "collapsed", "closed"
 
 
 def judge(name: str, deviation: float, detail: str = "") -> CheckResult:
@@ -220,14 +224,12 @@ def run_checks(
     full_phase = other_phase if inject_leaf_phase_flip else leaf_phase
 
     # full evolution vs reduced iteration
-    full_trace = fw.evolve(graph, steps, full_phase)
-    ops = cw.build_reduced_operators(n_clique, n_leaves, leaf_phase)
-    start = cw.collapsed_initial_state(n_clique, n_leaves)
-    reduced_trace = cw.evolve_collapsed(ops, start, steps)
+    full_p = hub_trace(_ORACLE, n_clique, n_leaves, steps, full_phase).p_hub
+    reduced_p = hub_trace(_REDUCED, n_clique, n_leaves, steps, leaf_phase).p_hub
     checks = [
         judge(
             "full_vs_collapsed_probability",
-            np.abs(full_trace.p_hub - reduced_trace.p_hub).max(),
+            np.abs(full_p - reduced_p).max(),
             f"max |p_full - p_collapsed| over {steps + 1} rows",
         )
     ]
@@ -236,6 +238,7 @@ def run_checks(
 
     # closed-form reduced operator vs conjugated full operator
     conjugated = conjugated_reduced_operator(graph, leaf_phase)
+    ops = cw.build_reduced_operators(n_clique, n_leaves, leaf_phase)
     checks.append(
         judge("reduced_operator_conjugation", np.abs(conjugated - ops.evolution).max())
     )
@@ -253,16 +256,14 @@ def run_checks(
         ),
     ]
 
-    times = np.arange(steps + 1)
-    reversal_p = reduced_trace.p_hub
+    reversal_p = reduced_p
     if leaf_phase is not LeafPhase.REVERSAL:
-        reversal = cw.build_reduced_operators(n_clique, n_leaves, LeafPhase.REVERSAL)
-        reversal_p = cw.hub_series(reversal, start, times)[0]
-    evaluator = EigenbasisEvaluator(n_clique, n_leaves)
+        reversal_p = hub_trace(_REDUCED, n_clique, n_leaves, steps, LeafPhase.REVERSAL).p_hub
+    closed_p = hub_trace(_CLOSED, n_clique, n_leaves, steps, LeafPhase.REVERSAL).p_hub
     checks.append(
         judge(
             "eigenbasis_vs_iteration",
-            np.abs(evaluator.hub_series(times)[0] - reversal_p).max(),
+            np.abs(closed_p - reversal_p).max(),
             "reversal-mode reduced trace vs spectral evaluator",
         )
     )

@@ -30,10 +30,8 @@ def test_criterion_1_oracle_equivalence():
     worst_at = None
     for n in (3, 10, 50, 100, 200):
         for m in _m_grid(n):
-            graph = sc.build_graph(n, m)
-            full = sc.evolve(graph, 1000)
-            ops = sc.build_reduced_operators(n, m)
-            reduced = sc.evolve_collapsed(ops, sc.collapsed_initial_state(n, m), 1000)
+            full = sc.hub_trace("full", n, m, 1000, LeafPhase.REVERSAL)
+            reduced = sc.hub_trace("collapsed", n, m, 1000, LeafPhase.REVERSAL)
             dev = float(np.abs(full.p_hub - reduced.p_hub).max())
             if dev > worst:
                 worst, worst_at = dev, (n, m)
@@ -135,10 +133,7 @@ def test_criterion_6_envelope():
         m = sc.leaves_from_alpha(n, alpha)
         theta_1 = sc.discriminant_angles(n, m).theta_1
         t_opt = sc.optimal_time_exact(n, m)
-        ops = sc.build_reduced_operators(n, m)
-        trace = sc.evolve_collapsed(
-            ops, sc.collapsed_initial_state(n, m), 10 * t_opt
-        )
+        trace = sc.hub_trace("collapsed", n, m, 10 * t_opt, LeafPhase.REVERSAL)
         envelope = 0.5 * np.sin(trace.times * theta_1) ** 2
         dev = float(np.abs(envelope - trace.p_hub).max())
         if dev > worst:
@@ -157,12 +152,9 @@ def test_criterion_7_trace_peaks():
     for alpha, expected_peak in expectations.items():
         m = sc.leaves_from_alpha(100, alpha)
         t_opt = sc.optimal_time_exact(100, m)
-        ops = sc.build_reduced_operators(100, m)
         # window of one envelope period: the quasi-periodic later peaks can
         # edge higher, so the peak is read off the first period
-        trace = sc.evolve_collapsed(
-            ops, sc.collapsed_initial_state(100, m), 2 * t_opt
-        )
+        trace = sc.hub_trace("collapsed", 100, m, 2 * t_opt, LeafPhase.REVERSAL)
         peak_at = int(np.argmax(trace.p_hub))
         peak = float(trace.p_hub[peak_at])
         ok = ok and abs(peak_at - expected_peak) <= 2 and 0.35 <= peak <= 0.65
@@ -178,8 +170,7 @@ def test_criterion_8_plain_baseline():
     ok = True
     for n in (50, 100, 200):
         t_max = int(50 * math.sqrt(n))
-        ops = sc.build_reduced_operators(n, 1, LeafPhase.PLAIN)
-        trace = sc.evolve_collapsed(ops, sc.collapsed_initial_state(n, 1), t_max)
+        trace = sc.hub_trace("collapsed", n, 1, t_max, LeafPhase.PLAIN)
         peak = float(trace.p_hub.max())
         ok = ok and peak < 10.0 / n
         details.append(f"N={n}: max p = {peak:.4f} (bound {10.0 / n:.3f})")

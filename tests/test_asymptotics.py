@@ -99,8 +99,7 @@ def test_probability_approx_tracks_collapsed_oracle():
     n, alpha = 10**4, 1.0
     m = sc.leaves_from_alpha(n, alpha)
     t_opt = sc.optimal_time_exact(n, m)
-    ops = sc.build_reduced_operators(n, m)
-    trace = sc.evolve_collapsed(ops, sc.collapsed_initial_state(n, m), 10 * t_opt)
+    trace = sc.hub_trace("collapsed", n, m, 10 * t_opt, sc.LeafPhase.REVERSAL)
     envelope = sc.asymptotics.hub_series(n, alpha, trace.times)[0]
     assert np.abs(envelope - trace.p_hub).max() < 0.05
 

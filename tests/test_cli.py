@@ -6,14 +6,14 @@ import os
 import stat
 import sys
 import tracemalloc
-from functools import partial
 
 import compare_traces
 import numpy as np
 import pytest
 
 import starclique as sc
-from starclique.cli import build_parser, main
+from starclique.cli import _PHASES, build_parser, main
+from starclique.modes import MODES
 from starclique.trace import ProbabilityTrace
 
 
@@ -77,32 +77,36 @@ def test_simulate_repeat_is_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def _library_series(mode, n, alpha):
-    m = sc.leaves_from_alpha(n, alpha)
-    if mode == "full":
-        graph = sc.build_graph(n, m)
-        return partial(sc.full_walk.hub_series, graph, sc.LeafPhase.REVERSAL)
-    if mode == "collapsed":
-        ops = sc.build_reduced_operators(n, m)
-        return partial(sc.collapsed.hub_series, ops, sc.collapsed_initial_state(n, m))
-    if mode == "closed":
-        return sc.EigenbasisEvaluator(n, m).hub_series
-    return partial(sc.asymptotics.hub_series, n, alpha)
-
-
-@pytest.mark.parametrize("mode", ["full", "collapsed", "closed", "asymptotic"])
-def test_simulate_csv_matches_library_trace(tmp_path, mode):
+@pytest.mark.parametrize(
+    "mode, leaf_phase",
+    [pytest.param(mode, phase, id=mode if phase == "reverse" else f"{mode}-{phase}")
+     for mode in MODES for phase in _PHASES],
+)
+def test_simulate_csv_matches_library_trace(tmp_path, capsys, mode, leaf_phase):
+    # a pair in the table's row is the row's series byte for byte; any
+    # other pair is refused in one line, with no file
     out = tmp_path / "trace.csv"
-    assert (
-        main(["simulate", "--n", "23", "--alpha", "0.5", "--steps", "40",
-              "--mode", mode, "--out", str(out)])
-        == 0
-    )
+    code = main(["simulate", "--n", "23", "--alpha", "0.5", "--steps", "40",
+                 "--mode", mode, "--leaf-phase", leaf_phase, "--out", str(out)])
+    row, phase = MODES[mode], _PHASES[leaf_phase]
+    if phase not in row.phases:
+        err = capsys.readouterr().err
+        assert err == f"error: {mode} mode evaluates the phase-reversal walk only\n"
+        assert code == 2 and not any(tmp_path.iterdir())
+        return
+    assert code == 0
     parsed = read_trace(out)
-    expected = _library_series(mode, 23, 0.5)(np.arange(41))
+    expected = row.series(23, sc.leaves_from_alpha(23, 0.5), phase, 0.5)(np.arange(41))
     assert parsed.times.tobytes() == np.arange(41, dtype=np.int64).tobytes()
     for column, values in zip(("p_hub", "psi_clique_in", "psi_star_in"), expected):
         assert getattr(parsed, column).tobytes() == values.tobytes()
+    assert parsed.metadata["leaf_phase"] == phase.value
+
+
+def test_simulate_mode_choices_are_the_table():
+    simulate = _subparser(build_parser("simulate"), "simulate")
+    mode = next(action for action in simulate._actions if action.dest == "mode")
+    assert mode.choices == tuple(MODES)
 
 
 def test_simulate_modes_agree(tmp_path):
@@ -510,10 +514,8 @@ def test_optimal_time_probability_is_the_two_plane_row(capsys, alpha):
     n, m = 200, sc.leaves_from_alpha(200, float(alpha))
     t_opt = int(record["t_opt_exact"])
     p_at_t = float(record["p_at_t_opt"])
-    assert p_at_t == sc.spectral.hub_series(n, m, [t_opt])[0][0]
-    trace = sc.evolve_collapsed(
-        sc.build_reduced_operators(n, m), sc.collapsed_initial_state(n, m), t_opt
-    )
+    assert p_at_t == sc.EigenbasisEvaluator(n, m).hub_series([t_opt])[0][0]
+    trace = sc.hub_trace("collapsed", n, m, t_opt, sc.LeafPhase.REVERSAL)
     assert abs(p_at_t - trace.p_hub[t_opt]) < 1e-12
 
 

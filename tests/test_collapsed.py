@@ -102,10 +102,8 @@ def test_evolve_collapsed_rejects_negative_steps():
 @pytest.mark.parametrize("phase", [LeafPhase.REVERSAL, LeafPhase.PLAIN])
 def test_collapsed_matches_full_walk(phase):
     n, m = 10, 3
-    g = sc.build_graph(n, m)
-    full = sc.evolve(g, 300, phase)
-    ops = sc.build_reduced_operators(n, m, phase)
-    reduced = sc.evolve_collapsed(ops, sc.collapsed_initial_state(n, m), 300)
+    full = sc.hub_trace("full", n, m, 300, phase)
+    reduced = sc.hub_trace("collapsed", n, m, 300, phase)
     assert np.abs(full.p_hub - reduced.p_hub).max() < 1e-10
 
 
@@ -247,7 +245,7 @@ def test_block_kernel_is_as_accurate_as_step_loop(n, m):
     times = np.arange(5 * 10**4 + 1)
     ops = sc.build_reduced_operators(n, m)
     start = sc.collapsed_initial_state(n, m)
-    exact = sc.spectral.hub_series(n, m, times)[0]
+    exact = sc.EigenbasisEvaluator(n, m).hub_series(times)[0]
     kernel = np.abs(sc.collapsed.hub_series(ops, start, times)[0] - exact).max()
     loop = np.abs(collapsed_reference.hub_series(ops, start, times)[0] - exact).max()
     assert kernel <= 4 * loop + 1e-15
@@ -260,7 +258,7 @@ def test_reduced_iteration_drift_from_closed_form(n, m):
     times = np.arange(5 * 10**4 + 1)
     ops = sc.build_reduced_operators(n, m)
     got = sc.collapsed.hub_series(ops, sc.collapsed_initial_state(n, m), times)
-    for column, exact in zip(got, sc.spectral.hub_series(n, m, times)):
+    for column, exact in zip(got, sc.EigenbasisEvaluator(n, m).hub_series(times)):
         assert np.abs(column - exact).max() < 1e-11
 
 

@@ -356,7 +356,7 @@ def test_uniform_series_matches_closed_form_through_optimal_time(n, m):
     t_opt = sc.optimal_time_exact(n, m)
     times = np.unique(np.append(np.arange(0, t_opt, 47), [t_opt - 1, t_opt]))
     got = hub_series(sc.build_graph(n, m), LeafPhase.REVERSAL, times)
-    _assert_series_close(got, sc.spectral.hub_series(n, m, times), tol=1e-10)
+    _assert_series_close(got, sc.EigenbasisEvaluator(n, m).hub_series(times), tol=1e-10)
 
 
 def test_uniform_series_holds_no_block():
@@ -402,10 +402,10 @@ def test_real_walk_matches_complex_walk(phase):
 
 
 def test_evolve_is_the_uniform_start():
-    # evolve runs X = 0 plus an affine part, step the built uniform block:
-    # the same walk in two representations, equal up to rounding
+    # the full trace runs X = 0 plus an affine part, step the built uniform
+    # block: the same walk in two representations, equal up to rounding
     g = sc.build_graph(20, 4)
-    trace = sc.evolve(g, 30)
+    trace = sc.hub_trace("full", 20, 4, 30, LeafPhase.REVERSAL)
     assert np.array_equal(trace.times, np.arange(31))
     got = (trace.p_hub, trace.psi_clique_in, trace.psi_star_in)
     stepped = _step_series(g, sc.initial_state(g), LeafPhase.REVERSAL, range(31))
@@ -419,21 +419,18 @@ def test_evolve_is_the_uniform_start():
 
 @pytest.mark.parametrize("n,m", [(3, 1), (10, 3), (57, 9)])
 def test_evolve_starts_at_one_over_n(n, m):
-    g = sc.build_graph(n, m)
-    trace = sc.evolve(g, 0)
+    trace = sc.hub_trace("full", n, m, 0, LeafPhase.REVERSAL)
     assert len(trace) == 1
     assert trace.p_hub[0] == pytest.approx(1.0 / n, abs=1e-14)
 
 
 def test_evolve_reversal_peak_value():
-    g = sc.build_graph(100, 1)
-    trace = sc.evolve(g, 111)
+    trace = sc.hub_trace("full", 100, 1, 111, LeafPhase.REVERSAL)
     assert 0.40 <= trace.p_hub[111] <= 0.55
 
 
 def test_evolve_plain_baseline_stays_low():
-    g = sc.build_graph(100, 1)
-    trace = sc.evolve(g, 5000, LeafPhase.PLAIN)
+    trace = sc.hub_trace("full", 100, 1, 5000, LeafPhase.PLAIN)
     assert trace.p_hub.max() < 0.10
 
 

@@ -14,7 +14,7 @@ EXPORTS = {
     "Branch": "the alpha = 1 split that optimal_time_branch (optimal-time) reads",
     "ClosedFormAudit": "the result type of audit_closed_forms",
     "CollapsedState": "verify builds the five class basis states as these",
-    "EigenbasisEvaluator": "simulate --mode closed, verify",
+    "EigenbasisEvaluator": "the closed mode's evaluator (simulate, verify), optimal-time",
     "ExponentFit": "the result type of exponent_fit",
     "GluedGraph": "the result type of build_graph",
     "LeafPhase": "simulate and verify --leaf-phase",
@@ -27,14 +27,15 @@ EXPORTS = {
     "build_graph": "simulate --mode full, verify, acceptance",
     "build_reduced_operators": "simulate --mode collapsed, verify, acceptance",
     "class_sizes": "the class sizes that collapse and lift normalise by",
-    "closed_form_probability": "the benchmark's library query, one row of hub_series",
+    "closed_form_probability": "the benchmark's library query, one row of "
+    "EigenbasisEvaluator.hub_series",
     "collapse": "verify, acceptance criterion 2",
     "collapsed_initial_state": "simulate --mode collapsed, verify, acceptance",
     "discriminant_angles": "verify, acceptance criteria 3 and 6",
-    "evolve": "verify, acceptance criterion 1",
-    "evolve_collapsed": "verify, acceptance",
+    "evolve_collapsed": "the trace from a given collapsed state: the benchmark's checks",
     "exponent_fit": "phase-diagram, acceptance criterion 5",
-    "initial_state": "acceptance criterion 1",
+    "hub_trace": "the one uniform-start trace of every mode: simulate, verify, acceptance",
+    "initial_state": "the uniform start as a WalkState, for step",
     "leaves_from_alpha": "every command's --alpha, acceptance",
     "lift": "verify, acceptance criterion 2",
     "optimal_time_branch": "optimal-time",

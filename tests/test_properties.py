@@ -8,6 +8,7 @@ import pytest
 from arc_table import arc_amplitudes
 import starclique as sc
 from starclique.graph import ArcClass, LeafPhase
+from starclique.modes import MODES
 from starclique.trace import ProbabilityTrace, hub_probability
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -17,10 +18,8 @@ st = hypothesis.strategies
 @hypothesis.settings(max_examples=20, deadline=None, database=None)
 @hypothesis.given(n=st.integers(3, 2000), m=st.integers(1, 10**6), t=st.integers(0, 300))
 def test_two_plane_series_matches_iteration(n, m, t):
-    iterated = sc.collapsed.hub_series(
-        sc.build_reduced_operators(n, m), sc.collapsed_initial_state(n, m), [t]
-    )
-    p, clique_in, star_in = sc.spectral.hub_series(n, m, [t])
+    iterated = MODES["collapsed"].series(n, m, LeafPhase.REVERSAL)([t])
+    p, clique_in, star_in = sc.EigenbasisEvaluator(n, m).hub_series([t])
     assert 0.0 <= p[0] <= 1.0 + 1e-15
     assert abs(p[0] - iterated[0][0]) < 1e-12
     assert abs(clique_in[0] - iterated[1][0]) < 1e-12
@@ -36,9 +35,7 @@ def test_state_series_is_unit_and_matches_iteration(n, m_exponent, t):
     times = np.arange(t + 1)
     states = sc.EigenbasisEvaluator(n, m).state_series(times)
     assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() <= 1e-14
-    iterated = sc.collapsed.hub_series(
-        sc.build_reduced_operators(n, m), sc.collapsed_initial_state(n, m), times
-    )
+    iterated = MODES["collapsed"].series(n, m, LeafPhase.REVERSAL)(times)
     series = (
         hub_probability(states[:, ArcClass.CLIQUE_IN], states[:, ArcClass.STAR_IN]),
         states[:, ArcClass.CLIQUE_IN],
@@ -85,10 +82,8 @@ def test_step_preserves_norm(n, m, seed, real, phase):
 )
 def test_full_series_from_uniform_start_matches_iteration(n, m, t, phase):
     times = np.arange(t + 1)
-    full = sc.full_walk.hub_series(sc.build_graph(n, m), phase, times)
-    iterated = sc.collapsed.hub_series(
-        sc.build_reduced_operators(n, m, phase), sc.collapsed_initial_state(n, m), times
-    )
+    full = MODES["full"].series(n, m, phase)(times)
+    iterated = MODES["collapsed"].series(n, m, phase)(times)
     assert full[0].min() >= 0.0 and full[0].max() <= 1.0
     for got, want in zip(full, iterated):
         assert np.abs(got - want).max() <= 1e-12
@@ -117,10 +112,7 @@ def test_reduced_step_preserves_norm(n, m, seed, phase):
     phase=st.sampled_from(LeafPhase),
 )
 def test_reduced_series_probability_in_unit_interval(n, m, t, phase):
-    p = sc.collapsed.hub_series(
-        sc.build_reduced_operators(n, m, phase), sc.collapsed_initial_state(n, m),
-        np.arange(t + 1),
-    )[0]
+    p = MODES["collapsed"].series(n, m, phase)(np.arange(t + 1))[0]
     assert p.min() >= 0.0 and p.max() <= 1.0 + 1e-14
 
 

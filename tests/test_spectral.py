@@ -6,7 +6,8 @@ import pytest
 import starclique as sc
 from starclique import audit
 from starclique import spectral as sp
-from starclique.graph import ArcClass
+from starclique.graph import ArcClass, LeafPhase
+from starclique.modes import MODES
 
 
 GRID = [(3, 1), (10, 3), (100, 1), (100, 10), (100, 100), (1000, 31)]
@@ -201,8 +202,7 @@ def test_derived_offset_matches_reference_exactly():
 def test_eigenbasis_matches_iteration(n):
     for m in sorted({1, math.isqrt(n), n}):
         evaluator = sc.EigenbasisEvaluator(n, m)
-        ops = sc.build_reduced_operators(n, m)
-        trace = sc.evolve_collapsed(ops, sc.collapsed_initial_state(n, m), 1000)
+        trace = sc.hub_trace("collapsed", n, m, 1000, LeafPhase.REVERSAL)
         series = evaluator.state_series(np.arange(1001))
         p_closed = (
             np.abs(series[:, ArcClass.CLIQUE_IN]) ** 2
@@ -290,7 +290,7 @@ def test_two_plane_optimal_probability_matches_50_digit_reference(exponent):
     n = 10**exponent
     for m in sorted({1, math.isqrt(n), n}):
         t_opt = sc.optimal_time_exact(n, m)
-        p = sp.hub_series(n, m, [t_opt])[0][0]
+        p = sp.EigenbasisEvaluator(n, m).hub_series([t_opt])[0][0]
         assert abs(p - _reference_probability(mp, n, m, t_opt)) < 1e-10
         assert sc.closed_form_probability(n, m, t_opt) == p
 
@@ -319,7 +319,7 @@ def test_evaluators_use_no_linear_algebra(monkeypatch):
     evaluator = sc.EigenbasisEvaluator(10**6, 1000)
     evaluator.state_series(range(5))
     evaluator.eigenpairs()
-    sp.hub_series(10**6, 1000, [0, 7])
+    evaluator.hub_series([0, 7])
     sc.closed_form_probability(10**6, 1000, 7)
 
 
@@ -328,10 +328,8 @@ def test_evaluators_use_no_linear_algebra(monkeypatch):
 )
 def test_two_plane_series_matches_iteration(n, m):
     times = np.arange(401)
-    iterated = sc.collapsed.hub_series(
-        sc.build_reduced_operators(n, m), sc.collapsed_initial_state(n, m), times
-    )
-    closed = sp.hub_series(n, m, times)
+    iterated = MODES["collapsed"].series(n, m, LeafPhase.REVERSAL)(times)
+    closed = sp.EigenbasisEvaluator(n, m).hub_series(times)
     for got, want in zip(closed, iterated):
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.abs(got - want).max() < 1e-12
@@ -339,8 +337,9 @@ def test_two_plane_series_matches_iteration(n, m):
 
 def test_two_plane_series_takes_times_in_any_order():
     times = [400, 0, 7, 7, 3]
-    p, clique_in, star_in = sp.hub_series(100, 10, times)
-    full = sp.hub_series(100, 10, range(401))
+    evaluator = sp.EigenbasisEvaluator(100, 10)
+    p, clique_in, star_in = evaluator.hub_series(times)
+    full = evaluator.hub_series(range(401))
     assert np.array_equal(p, full[0][times])
     assert np.array_equal(star_in, full[2][times])
     assert p[1] == pytest.approx(0.01, abs=1e-15)
@@ -348,9 +347,9 @@ def test_two_plane_series_takes_times_in_any_order():
 
 def test_two_plane_series_rejects_negative_times():
     with pytest.raises(ValueError):
-        sp.hub_series(100, 10, [3, -1])
+        sp.EigenbasisEvaluator(100, 10).hub_series([3, -1])
     with pytest.raises(ValueError):
-        sp.hub_series(100, 10, [2**63])
+        sp.EigenbasisEvaluator(100, 10).hub_series([2**63])
 
 
 def test_cos_theta_2_matches_50_digit_reference():

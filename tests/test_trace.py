@@ -6,6 +6,7 @@ import pytest
 import trace_reference
 
 import starclique as sc
+from starclique.modes import MODES
 from starclique.trace import _BLOCK, COLUMNS, ProbabilityTrace, trace_metadata
 
 
@@ -202,8 +203,7 @@ def test_rejects_wrong_header():
 
 def test_library_and_cli_traces_share_one_metadata_builder():
     keys = ["n", "m", "alpha", "mode", "leaf_phase", "version"]
-    graph = sc.build_graph(7, 2)
-    full = sc.evolve(graph, 3, sc.LeafPhase.PLAIN)
+    full = sc.hub_trace("full", 7, 2, 3, sc.LeafPhase.PLAIN)
     ops = sc.build_reduced_operators(7, 2)
     reduced = sc.evolve_collapsed(ops, sc.collapsed_initial_state(7, 2), 3)
     assert full.metadata == trace_metadata(7, 2, "full", sc.LeafPhase.PLAIN)
@@ -215,17 +215,22 @@ def test_library_and_cli_traces_share_one_metadata_builder():
     assert trace_metadata(7, 2, "closed", sc.LeafPhase.REVERSAL, 0.5)["alpha"] == "0.5"
 
 
-# every evaluator's series, each reading its times through trace.step_counts
-_SERIES = {
-    "spectral": lambda times: sc.spectral.hub_series(100, 10, times),
-    "collapsed": lambda times: sc.collapsed.hub_series(
-        sc.build_reduced_operators(100, 10), sc.collapsed_initial_state(100, 10), times
-    ),
-    "full": lambda times: sc.full_walk.hub_series(
-        sc.build_graph(10, 3), sc.LeafPhase.REVERSAL, times
-    ),
-    "asymptotic": lambda times: sc.asymptotics.hub_series(100, 0.5, times),
-}
+@pytest.mark.parametrize(
+    "mode, m, leaf_phase, alpha, problem",
+    [
+        ("closed", 5, "plain", 0.5, "closed mode does not evaluate the plain walk"),
+        ("asymptotic", 5, "plain", 0.5, "asymptotic mode does not evaluate the plain walk"),
+        ("asymptotic", 5, "reversal", None, "asymptotic mode requires alpha"),
+        ("asymptotic", 7, "reversal", 0.5, "m = 7 is not the leaf count 5 of alpha"),
+        ("full", 7, "reversal", 0.5, "m = 7 is not the leaf count 5 of alpha"),
+    ],
+    ids=["closed-plain", "asymptotic-plain", "no-alpha", "asymptotic-m", "full-m"],
+)
+def test_hub_trace_refuses_a_trace_it_would_mislabel(mode, m, leaf_phase, alpha, problem):
+    # unchecked, the closed form ignored the phase and returned the reversal
+    # series labelled plain, and the asymptotic series took m from alpha
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        sc.hub_trace(mode, 30, m, 10, sc.LeafPhase(leaf_phase), alpha)
 
 
 @pytest.mark.filterwarnings("error")
@@ -239,19 +244,21 @@ _SERIES = {
     ],
     ids=["fraction", "float-array", "nan", "uint64-2**63"],
 )
-@pytest.mark.parametrize("series", list(_SERIES))
-def test_series_reject_fractional_and_wrapping_step_counts(series, times, problem):
+@pytest.mark.parametrize("mode", list(MODES))
+def test_series_reject_fractional_and_wrapping_step_counts(mode, times, problem):
     # a fraction was truncated to the row before it, and a uint64 count
-    # beyond int64 wrapped and was reported as negative
+    # beyond int64 wrapped and was reported as negative; every mode's series
+    # reads its times through trace.step_counts
     with pytest.raises(ValueError, match=f"^step counts must be {problem}$"):
-        _SERIES[series](times)
+        MODES[mode].series(100, 10, sc.LeafPhase.REVERSAL, 0.5)(times)
 
 
-@pytest.mark.parametrize("series", list(_SERIES))
-def test_series_read_whole_and_unsigned_step_counts_as_integers(series):
-    want = _SERIES[series](np.array([0, 2, 3], dtype=np.int64))
+@pytest.mark.parametrize("mode", list(MODES))
+def test_series_read_whole_and_unsigned_step_counts_as_integers(mode):
+    series = MODES[mode].series(100, 10, sc.LeafPhase.REVERSAL, 0.5)
+    want = series(np.array([0, 2, 3], dtype=np.int64))
     for times in ([0.0, 2.0, 3.0], np.array([0, 2, 3], dtype=np.uint64)):
-        for got, expected in zip(_SERIES[series](times), want):
+        for got, expected in zip(series(times), want):
             assert np.array_equal(got, expected)
 
 
