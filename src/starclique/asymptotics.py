@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import leaves_from_alpha
+from .graph import class_sizes, leaves_from_alpha
 from .spectral import discriminant_angles
 from .trace import HubSeries, step_counts
 
@@ -95,8 +95,9 @@ def optimal_time_branch(n_clique: int, alpha: float) -> int:
     floor(pi/2 sqrt(N)) at it, floor(pi/(2 sqrt(2)) sqrt(N)) above it.
     """
     branch = Branch.of(alpha)
-    if n_clique < 3:
-        raise ValueError(f"n_clique must be at least 3, got {n_clique}")
+    # refuses N outside the domain; the formula reads no leaf count, and the
+    # one an alpha taken from m implies can round past the float range
+    class_sizes(n_clique, 1)
     n = float(n_clique)
     if branch is Branch.SUB:
         return int(math.floor(math.pi / (2.0 * math.sqrt(2.0)) * n ** ((2.0 - alpha) / 2.0)))

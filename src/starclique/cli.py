@@ -27,13 +27,12 @@ from . import __version__
 from . import asymptotics as asym
 from . import spectral
 from .audit import audit_closed_forms
-from .graph import LeafPhase, leaves_from_alpha
+from .graph import INT64_MAX, LeafPhase, class_sizes, leaves_from_alpha
 from .modes import MODES, hub_trace
 from .trace import ProbabilityTrace
-from .verify import run_checks
+from .verify import judge, run_checks
 
 DEFAULT_ARC_BUDGET = 10**7
-_INT64_MAX = 2**63 - 1
 
 _PHASES = {"reverse": LeafPhase.REVERSAL, "plain": LeafPhase.PLAIN}
 
@@ -62,42 +61,17 @@ class Sizes:
 
 
 def _resolve_sizes(args: argparse.Namespace) -> Sizes:
+    """The option rules only; ``graph`` refuses sizes outside the domain."""
     if args.n is None:
         raise ConfigError("--n is required")
-    if args.n < 3:
-        raise ConfigError(f"--n must be at least 3, got {args.n}")
     if args.alpha is not None and args.m is not None:
         raise ConfigError("--alpha and --m are mutually exclusive")
     if args.alpha is None and args.m is None:
         raise ConfigError("one of --alpha or --m is required")
-    if args.alpha is not None:
-        if not (math.isfinite(args.alpha) and args.alpha >= 0):
-            raise ConfigError(f"--alpha must be finite and >= 0, got {args.alpha}")
-        m = _leaf_count(args.n, args.alpha)
-    elif args.m < 1:
-        raise ConfigError(f"--m must be at least 1, got {args.m}")
-    else:
-        m = args.m
-        _check_sizes(args.n, m)
-    return Sizes(n=args.n, m=m, alpha=args.alpha)
-
-
-def _check_sizes(n: int, m: int) -> None:
-    if n > _INT64_MAX:
-        raise ConfigError(f"clique size beyond int64: at most {_INT64_MAX}")
-    # the discriminant angles divide by (N-1)(N+m-1) as a float
-    if (n - 1) * (n + m - 1) > sys.float_info.max:
-        raise ConfigError("sizes beyond the float range: (N-1)(N+m-1) exceeds 1.8e308")
-
-
-def _leaf_count(n: int, alpha: float) -> int:
-    """floor(N**alpha) for a clique size of at least 3, size-checked."""
-    try:
-        m = leaves_from_alpha(n, alpha)
-    except OverflowError:
-        raise ConfigError(f"leaf count {n}**{alpha} overflows") from None
-    _check_sizes(n, m)
-    return m
+    if args.alpha is None:
+        class_sizes(args.n, args.m)
+        return Sizes(n=args.n, m=args.m, alpha=None)
+    return Sizes(n=args.n, m=leaves_from_alpha(args.n, args.alpha), alpha=args.alpha)
 
 
 def _out_path(args: argparse.Namespace, default_name: str) -> str:
@@ -149,11 +123,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.steps is None or args.steps < 1:
         raise ConfigError("--steps must be at least 1")
     phase = _PHASES[args.leaf_phase]
-    row = MODES[args.mode]
-    if phase not in row.phases:
-        raise ConfigError(f"{args.mode} mode evaluates the phase-reversal walk only")
-    if row.needs_alpha and sizes.alpha is None:
-        raise ConfigError(f"{args.mode} mode requires --alpha")
     trace = hub_trace(args.mode, sizes.n, sizes.m, args.steps, phase, sizes.alpha)
     path = _write_trace(args, trace, f"trace_n{sizes.n}_m{sizes.m}_{args.mode}")
     print(path)
@@ -163,18 +132,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     sizes = _resolve_sizes(args)
     audit = audit_closed_forms(sizes.n, sizes.m)
-    worst = np.max(audit.report.residuals)  # a NaN residual fails, as in verify
-    if not worst < spectral.RESIDUAL_TOLERANCE:
+    residuals = judge("spectral_residuals", np.max(audit.report.residuals))
+    if not residuals.passed:
         print(
-            f"spectral residual {worst:.3e} exceeds {spectral.RESIDUAL_TOLERANCE:g}",
+            f"spectral residual {residuals.max_deviation:.3e} exceeds "
+            f"{residuals.tolerance:g}",
             file=sys.stderr,
         )
         return 1
-    deviation = audit.report.numeric_deviation
-    if not deviation <= spectral.NUMERIC_TOLERANCE:
+    numeric = judge("numeric_eigenvectors", audit.report.numeric_deviation)
+    if not numeric.passed:
         print(
-            f"numeric eigenvector deviation {deviation:.3e} exceeds "
-            f"{spectral.NUMERIC_TOLERANCE:g} inside the numeric domain",
+            f"numeric eigenvector deviation {numeric.max_deviation:.3e} exceeds "
+            f"{numeric.tolerance:g} inside the numeric domain",
             file=sys.stderr,
         )
         return 1
@@ -193,7 +163,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 def _cmd_optimal_time(args: argparse.Namespace) -> int:
     sizes = _resolve_sizes(args)
     t_exact = asym.optimal_time_exact(sizes.n, sizes.m)
-    if t_exact > _INT64_MAX:
+    if t_exact > INT64_MAX:
         raise ConfigError(f"t_opt = {t_exact} is beyond the int64 step range, 2**63 - 1")
     alpha = sizes.alpha
     if alpha is None:
@@ -230,13 +200,6 @@ def _cmd_phase_diagram(args: argparse.Namespace) -> int:
         raise ConfigError("phase diagram needs at least 2 alpha values")
     if len(set(n_grid)) < 4:
         raise ConfigError("phase diagram needs at least 4 clique sizes")
-    if not all(math.isfinite(a) and a >= 0 for a in alphas):
-        raise ConfigError("alpha values must be finite and nonnegative")
-    if any(n < 3 for n in n_grid):
-        raise ConfigError("clique sizes must be at least 3")
-    for n in n_grid:
-        for alpha in alphas:
-            _leaf_count(n, alpha)
     fits = [asym.exponent_fit(alpha, n_grid) for alpha in alphas]
 
     fmt = args.format or "csv"

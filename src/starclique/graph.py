@@ -7,6 +7,13 @@ Each undirected edge contributes two mutually inverse arcs.  The arc set is
 fixed by the two sizes, so the graph stores only those and the arc count;
 the arc-space walk keeps its amplitudes in a structured layout (see
 ``full_walk``) and needs no per-arc index table.
+
+This module decides the package's parameter domain, which every evaluator
+and the command line share: a clique size N from 3 to 2**63 - 1, a leaf
+count m >= 1 with (N-1)(N+m-1) at most the float range (about 1.8e308,
+since the discriminant angles divide by it as a float), and a leaf
+exponent alpha that is finite and >= 0.  Outside it every entry point
+raises ``ValueError`` with a one-line message naming the quantity.
 """
 
 from __future__ import annotations
@@ -18,6 +25,13 @@ from enum import Enum, IntEnum
 
 #: Vertex id of the glued vertex; the hub always gets the lowest id.
 HUB = 0
+
+#: Largest clique size, and largest step count: int64's maximum, 2**63 - 1.
+INT64_MAX = 2**63 - 1
+
+#: sys.float_info.max as an int, so the size check compares two ints.
+_FLOAT_MAX = int(sys.float_info.max)
+_BEYOND_FLOAT_RANGE = "sizes beyond the float range: (N-1)(N+m-1) exceeds 1.8e308"
 
 
 class ArcClass(IntEnum):
@@ -81,35 +95,44 @@ class GluedGraph:
 def _validate_sizes(n_clique: int, n_leaves: int) -> None:
     if n_clique < 3:
         raise ValueError(
-            f"n_clique must be at least 3, got {n_clique}; the clique walk "
+            f"N must be at least 3, got {n_clique}; the clique walk "
             "degenerates below the triangle"
         )
+    if n_clique > INT64_MAX:
+        raise ValueError(f"N beyond int64: at most {INT64_MAX}")
     if n_leaves < 1:
-        raise ValueError(f"n_leaves must be at least 1, got {n_leaves}")
+        raise ValueError(f"m must be at least 1, got {n_leaves}")
+    if (n_clique - 1) * (n_clique + n_leaves - 1) > _FLOAT_MAX:
+        raise ValueError(_BEYOND_FLOAT_RANGE)
 
 
 def leaves_from_alpha(n_clique: int, alpha: float) -> int:
     """Number of leaves for scaling exponent ``alpha``: floor(N**alpha), >= 1.
 
     The exponent only ever enters through this floor; everything downstream
-    works with the exact integer leaf count.
+    works with the exact integer leaf count.  Refuses a non-finite or
+    negative alpha, and (N, m) outside the domain of ``class_sizes``; an
+    N**alpha beyond the float range is beyond that domain too.
     """
-    if n_clique < 3:
-        raise ValueError(f"n_clique must be at least 3, got {n_clique}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    power = float(n_clique) ** float(alpha)
+    if not 0 <= alpha < math.inf:  # an int alpha of any size compares exactly
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    try:
+        power = float(n_clique) ** float(alpha)
+    except OverflowError:
+        raise ValueError(_BEYOND_FLOAT_RANGE) from None
     # pow() can land a hair below an exact integer; snap within 4 ulps.
     nearest = round(power)
-    if nearest > 0 and abs(power - nearest) <= 4 * math.ulp(power):
-        return max(1, nearest)
-    return max(1, math.floor(power))
+    snapped = nearest > 0 and abs(power - nearest) <= 4 * math.ulp(power)
+    m = max(1, nearest if snapped else math.floor(power))
+    _validate_sizes(n_clique, m)
+    return m
 
 
 def class_sizes(n_clique: int, n_leaves: int) -> tuple[int, int, int, int, int]:
     """Sizes of the five arc classes, in ArcClass order.
 
     ((N-1)(N-2), N-1, N-1, m, m) for a clique on N vertices and m leaves.
+    Refuses (N, m) outside the domain in the module docstring.
     """
     _validate_sizes(n_clique, n_leaves)
     n, m = n_clique, n_leaves

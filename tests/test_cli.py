@@ -91,7 +91,7 @@ def test_simulate_csv_matches_library_trace(tmp_path, capsys, mode, leaf_phase):
     row, phase = MODES[mode], _PHASES[leaf_phase]
     if phase not in row.phases:
         err = capsys.readouterr().err
-        assert err == f"error: {mode} mode evaluates the phase-reversal walk only\n"
+        assert err == f"error: {mode} mode does not evaluate the {phase.value} walk\n"
         assert code == 2 and not any(tmp_path.iterdir())
         return
     assert code == 0
@@ -352,6 +352,40 @@ def test_config_errors_leave_no_file(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, library_call",
+    [
+        (["simulate", "--n", str(10**19), "--m", "1", "--steps", "3", "--mode", "closed"],
+         lambda: sc.hub_trace("closed", 10**19, 1, 3, sc.LeafPhase.REVERSAL)),
+        (["spectrum", "--n", "100", "--m", str(10**308)],
+         lambda: sc.audit_closed_forms(100, 10**308)),
+        (["optimal-time", "--n", "1000000", "--alpha", "51"],
+         lambda: sc.leaves_from_alpha(10**6, 51)),
+        (["phase-diagram", "--alphas", "0,nan", "--n-grid", "256,1024,4096,16384"],
+         lambda: sc.exponent_fit(math.nan, [256, 1024, 4096, 16384])),
+    ],
+    ids=["simulate", "spectrum", "optimal-time", "phase-diagram"],
+)
+def test_cli_refuses_sizes_as_the_library_does(tmp_path, capsys, args, library_call):
+    # graph decides the domain; the command line prints its message as is
+    with pytest.raises(ValueError) as exc:
+        library_call()
+    out = tmp_path / "never.csv"
+    assert main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [3, 1000])
+def test_optimal_time_takes_the_largest_leaf_count(capsys, n):
+    # the alpha that optimal-time derives from m can round N**alpha past the
+    # float range; the branch formula reads no leaf count, so it must not
+    # refuse an m inside the domain
+    m = int(sys.float_info.max) // (n - 1) - n + 1
+    assert main(["optimal-time", "--n", str(n), "--m", str(m)]) == 0
+    assert f"m={m}\n" in capsys.readouterr().out
 
 
 def test_unwritable_output_exits_4_and_leaves_no_file(tmp_path, capsys):

@@ -1,7 +1,11 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
 import arc_table
+import starclique as sc
 from starclique import graph as gr
 
 
@@ -12,10 +16,18 @@ def test_leaves_from_alpha_examples():
 
 
 def test_leaves_from_alpha_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gr.leaves_from_alpha(2, 0.5)
-    with pytest.raises(ValueError):
-        gr.leaves_from_alpha(100, -0.1)
+    for n, alpha, match in [
+        (2, 0.5, "N must be at least 3"),
+        (100, -0.1, "alpha must be finite and >= 0"),
+        (100, math.nan, "alpha must be finite and >= 0"),
+        (100, math.inf, "alpha must be finite and >= 0"),
+        (10**6, 51, "float range"),     # m = 1e306 fits, (N-1)(N+m-1) not
+        (10**400, 0.5, "float range"),  # float(N) overflows
+        (100, 10**400, "float range"),  # float(alpha) overflows
+        (2, 2000, "float range"),       # N**alpha overflows
+    ]:
+        with pytest.raises(ValueError, match=match):
+            gr.leaves_from_alpha(n, alpha)
 
 
 def test_leaves_from_alpha_lands_on_exact_powers():
@@ -43,10 +55,43 @@ def test_build_graph_counts():
 
 
 def test_build_graph_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        gr.build_graph(2, 1)
-    with pytest.raises(ValueError):
-        gr.build_graph(10, 0)
+    for n, m, match in [
+        (2, 1, "N must be at least 3"),
+        (10, 0, "m must be at least 1"),
+        (10**19, 1, "N beyond int64"),
+        (100, 10**400, "float range"),
+        (100, 10**308, "float range"),  # m fits, (N-1)(N+m-1) not
+    ]:
+        with pytest.raises(ValueError, match=match):
+            gr.class_sizes(n, m)
+        with pytest.raises(ValueError, match=match):
+            gr.build_graph(n, m)
+
+
+def test_domain_edges_are_accepted():
+    n = 2**63 - 1
+    assert gr.class_sizes(n, 1)[1] == n - 1
+    # the largest m with (N-1)(N+m-1) <= sys.float_info.max
+    m = int(sys.float_info.max) // (n - 1) - n + 1
+    assert gr.class_sizes(n, m)[3] == m
+    with pytest.raises(ValueError, match="float range"):
+        gr.class_sizes(n, m + 1)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: sc.closed_form_probability(10**19, 1, 5),
+        lambda: sc.optimal_time_exact(10**19, 1),
+        lambda: sc.hub_trace("closed", 10**19, 1, 3, gr.LeafPhase.REVERSAL),
+        lambda: sc.optimal_time_branch(10**19, 0.5),
+    ],
+    ids=["closed_form_probability", "optimal_time_exact", "hub_trace", "optimal_time_branch"],
+)
+def test_evaluators_refuse_sizes_beyond_the_domain(evaluate):
+    # each reaches graph's size check, the one the command line refuses by
+    with pytest.raises(ValueError, match="N beyond int64"):
+        evaluate()
 
 
 def test_build_graph_rejects_addressable_overflow():
