@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import class_sizes, leaves_from_alpha
+from .graph import _validate_alpha, class_sizes, leaves_from_alpha
 from .spectral import discriminant_angles
 from .trace import HubSeries, step_counts
 
@@ -39,10 +39,9 @@ class Branch(Enum):
     @classmethod
     def of(cls, alpha: float) -> "Branch":
         """The regime of leaf exponent ``alpha``, the one split at alpha = 1
-        that every branch formula reads.  A NaN compares false with every
-        bound and falls in SUPER; a negative alpha is an error."""
-        if alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {alpha}")
+        that every branch formula reads.  Refuses an alpha outside the
+        domain of ``leaves_from_alpha``."""
+        _validate_alpha(alpha)
         if alpha < 1:
             return cls.SUB
         return cls.CRITICAL if alpha == 1 else cls.SUPER

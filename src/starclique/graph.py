@@ -106,6 +106,11 @@ def _validate_sizes(n_clique: int, n_leaves: int) -> None:
         raise ValueError(_BEYOND_FLOAT_RANGE)
 
 
+def _validate_alpha(alpha: float) -> None:
+    if not 0 <= alpha < math.inf:  # an int alpha of any size compares exactly
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+
+
 def leaves_from_alpha(n_clique: int, alpha: float) -> int:
     """Number of leaves for scaling exponent ``alpha``: floor(N**alpha), >= 1.
 
@@ -114,8 +119,8 @@ def leaves_from_alpha(n_clique: int, alpha: float) -> int:
     negative alpha, and (N, m) outside the domain of ``class_sizes``; an
     N**alpha beyond the float range is beyond that domain too.
     """
-    if not 0 <= alpha < math.inf:  # an int alpha of any size compares exactly
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    _validate_alpha(alpha)
+    _validate_sizes(n_clique, 1)  # before the power: a negative N**alpha is complex
     try:
         power = float(n_clique) ** float(alpha)
     except OverflowError:

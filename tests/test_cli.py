@@ -344,6 +344,7 @@ def test_removed_options_are_argparse_errors(tmp_path, capsys, args):
         ["optimal-time", "--n", str(84 * 10**17), "--alpha", "0"],  # t_opt beyond int64
         ["verify", "--n", "10", "--m", "2", "--steps", "5", "--seed", "-1"],
         ["verify", "--n", "10", "--m", "2", "--steps", "5", "--arc-budget", "-5"],
+        ["phase-diagram", "--n-grid=-4,256,1024,4096"],
     ],
 )
 def test_config_errors_leave_no_file(tmp_path, capsys, args):
@@ -365,8 +366,10 @@ def test_config_errors_leave_no_file(tmp_path, capsys, args):
          lambda: sc.leaves_from_alpha(10**6, 51)),
         (["phase-diagram", "--alphas", "0,nan", "--n-grid", "256,1024,4096,16384"],
          lambda: sc.exponent_fit(math.nan, [256, 1024, 4096, 16384])),
+        (["simulate", "--n", "-5", "--alpha", "0.5", "--steps", "3"],
+         lambda: sc.leaves_from_alpha(-5, 0.5)),
     ],
-    ids=["simulate", "spectrum", "optimal-time", "phase-diagram"],
+    ids=["simulate", "spectrum", "optimal-time", "phase-diagram", "simulate-negative-n"],
 )
 def test_cli_refuses_sizes_as_the_library_does(tmp_path, capsys, args, library_call):
     # graph decides the domain; the command line prints its message as is

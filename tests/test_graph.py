@@ -7,6 +7,7 @@ import pytest
 import arc_table
 import starclique as sc
 from starclique import graph as gr
+from starclique.asymptotics import theory_exponent
 
 
 def test_leaves_from_alpha_examples():
@@ -18,13 +19,14 @@ def test_leaves_from_alpha_examples():
 def test_leaves_from_alpha_rejects_bad_input():
     for n, alpha, match in [
         (2, 0.5, "N must be at least 3"),
+        (-5, 0.5, "N must be at least 3"),  # (-5.0)**0.5 would be complex
         (100, -0.1, "alpha must be finite and >= 0"),
         (100, math.nan, "alpha must be finite and >= 0"),
         (100, math.inf, "alpha must be finite and >= 0"),
         (10**6, 51, "float range"),     # m = 1e306 fits, (N-1)(N+m-1) not
-        (10**400, 0.5, "float range"),  # float(N) overflows
+        (10**400, 0.5, "N beyond int64"),
         (100, 10**400, "float range"),  # float(alpha) overflows
-        (2, 2000, "float range"),       # N**alpha overflows
+        (3, 2000, "float range"),       # N**alpha overflows
     ]:
         with pytest.raises(ValueError, match=match):
             gr.leaves_from_alpha(n, alpha)
@@ -79,18 +81,24 @@ def test_domain_edges_are_accepted():
 
 
 @pytest.mark.parametrize(
-    "evaluate",
+    "evaluate, match",
     [
-        lambda: sc.closed_form_probability(10**19, 1, 5),
-        lambda: sc.optimal_time_exact(10**19, 1),
-        lambda: sc.hub_trace("closed", 10**19, 1, 3, gr.LeafPhase.REVERSAL),
-        lambda: sc.optimal_time_branch(10**19, 0.5),
+        (lambda: sc.closed_form_probability(10**19, 1, 5), "N beyond int64"),
+        (lambda: sc.optimal_time_exact(10**19, 1), "N beyond int64"),
+        (lambda: sc.hub_trace("closed", 10**19, 1, 3, gr.LeafPhase.REVERSAL),
+         "N beyond int64"),
+        (lambda: sc.optimal_time_branch(10**19, 0.5), "N beyond int64"),
+        (lambda: sc.optimal_time_branch(100, math.nan), "alpha must be finite"),
+        (lambda: sc.optimal_time_branch(100, math.inf), "alpha must be finite"),
+        (lambda: theory_exponent(math.nan), "alpha must be finite"),
     ],
-    ids=["closed_form_probability", "optimal_time_exact", "hub_trace", "optimal_time_branch"],
+    ids=["closed_form_probability", "optimal_time_exact", "hub_trace", "optimal_time_branch",
+         "optimal_time_branch-nan", "optimal_time_branch-inf", "theory_exponent-nan"],
 )
-def test_evaluators_refuse_sizes_beyond_the_domain(evaluate):
-    # each reaches graph's size check, the one the command line refuses by
-    with pytest.raises(ValueError, match="N beyond int64"):
+def test_evaluators_refuse_sizes_beyond_the_domain(evaluate, match):
+    # each reaches graph's size or alpha check, the one the command line
+    # refuses by
+    with pytest.raises(ValueError, match=match):
         evaluate()
 
 
