@@ -32,9 +32,7 @@ from .full_walk import (
 )
 from .graph import (
     ArcClass,
-    GluedGraph,
     LeafPhase,
-    build_graph,
     class_sizes,
     leaves_from_alpha,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "CollapsedState",
     "EigenbasisEvaluator",
     "ExponentFit",
-    "GluedGraph",
     "LeafPhase",
     "ProbabilityTrace",
     "ReducedOperators",
@@ -65,7 +62,6 @@ __all__ = [
     "VerificationReport",
     "WalkState",
     "audit_closed_forms",
-    "build_graph",
     "build_reduced_operators",
     "class_sizes",
     "closed_form_probability",

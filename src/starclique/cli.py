@@ -108,9 +108,8 @@ def _write_json(path: str, payload) -> None:
 
 
 def _write_trace(args: argparse.Namespace, trace: ProbabilityTrace, name: str) -> str:
-    fmt = args.format or "csv"
-    path = _out_path(args, f"{name}.{fmt}")
-    _atomic_write(path, trace.to_csv if fmt == "csv" else trace.to_json)
+    path = _out_path(args, f"{name}.{args.format}")
+    _atomic_write(path, trace.to_csv if args.format == "csv" else trace.to_json)
     return path
 
 
@@ -202,9 +201,8 @@ def _cmd_phase_diagram(args: argparse.Namespace) -> int:
         raise ConfigError("phase diagram needs at least 4 clique sizes")
     fits = [asym.exponent_fit(alpha, n_grid) for alpha in alphas]
 
-    fmt = args.format or "csv"
-    path = _out_path(args, f"phase_diagram.{fmt}")
-    if fmt == "json":
+    path = _out_path(args, f"phase_diagram.{args.format}")
+    if args.format == "json":
         _write_json(path, {
             "version": __version__,
             "n_grid": list(n_grid),
@@ -242,7 +240,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     if args.arc_budget < 1:
         raise ConfigError(f"--arc-budget must be at least 1, got {args.arc_budget}")
-    arcs = sizes.n * (sizes.n - 1) + 2 * sizes.m
+    arcs = sum(class_sizes(sizes.n, sizes.m))
     if arcs > args.arc_budget:
         raise ArcBudgetError(
             f"verify needs {arcs} arcs, beyond the budget of {args.arc_budget}; "
@@ -290,7 +288,7 @@ def _add_size_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (default: derived name)")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
 
 def _add_simulate_options(parser: argparse.ArgumentParser) -> None:

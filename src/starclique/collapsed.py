@@ -48,10 +48,9 @@ from .trace import (
 
 @dataclass(frozen=True, eq=False)
 class CollapsedState:
-    """Five complex amplitudes indexed by ArcClass, plus a step counter."""
+    """Five complex amplitudes indexed by ArcClass."""
 
     amplitudes: np.ndarray  # complex128, shape (5,)
-    time: int = 0
 
     def __post_init__(self) -> None:
         if self.amplitudes.shape != (5,):
@@ -127,7 +126,7 @@ def collapsed_initial_state(n_clique: int, n_leaves: int) -> CollapsedState:
     amplitudes[ArcClass.CLIQUE_INTERIOR] = math.sqrt((n - 2) / n)
     amplitudes[ArcClass.CLIQUE_IN] = 1.0 / math.sqrt(n)
     amplitudes[ArcClass.CLIQUE_OUT] = 1.0 / math.sqrt(n)
-    return CollapsedState(amplitudes=amplitudes, time=0)
+    return CollapsedState(amplitudes=amplitudes)
 
 
 def ascending_steps(times) -> np.ndarray:
@@ -181,4 +180,4 @@ def evolve_collapsed(
     """
     metadata = trace_metadata(ops.n_clique, ops.n_leaves, "collapsed", ops.leaf_phase)
     series = partial(hub_series, ops, state)
-    return ProbabilityTrace.from_series(series, t_max, metadata, state.time)
+    return ProbabilityTrace.from_series(series, t_max, metadata)

@@ -56,25 +56,27 @@ complex arithmetic.
 
 The public functions never write to their inputs; a state can be handed
 between threads and parameter sweeps can run concurrently on independent
-(graph, state) pairs.
+states.  A state's array shapes give N and m: ``step`` and ``collapse``
+read them (``_sizes``), and the functions that build a state take (N, m).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .collapsed import CollapsedState, ascending_steps
-from .graph import HUB, ArcClass, GluedGraph, LeafPhase, class_sizes
+from .graph import HUB, ArcClass, LeafPhase, class_sizes
 from .trace import HubSeries
 
 
 @dataclass(frozen=True, eq=False)
 class WalkState:
-    """Arc amplitudes in the structured layout, plus a step counter.
+    """Arc amplitudes in the structured layout.
 
     ``clique[u, w]`` is the amplitude on the clique arc u -> w (vertex ids
     as in ``graph``; the diagonal is zero), ``star_in[j]`` the amplitude on
@@ -84,13 +86,28 @@ class WalkState:
     clique: np.ndarray    # float64 or complex128, shape (n_clique, n_clique)
     star_in: np.ndarray   # same dtype, shape (n_leaves,)
     star_out: np.ndarray  # same dtype, shape (n_leaves,)
-    time: int = 0
 
 
-def initial_state(graph: GluedGraph) -> WalkState:
+def _sizes(state: WalkState) -> tuple[int, int]:
+    """(N, m) of a state whose clique block is N x N and whose star vectors
+    both have length m; other shapes, and sizes that ``class_sizes``
+    refuses, raise ``ValueError`` naming the shapes."""
+    shapes = tuple(np.shape(array) for array in (state.clique, state.star_in, state.star_out))
+    block, into, out = shapes
+    if len(block) != 2 or block[0] != block[1] or len(into) != 1 or into != out:
+        raise ValueError(f"state has shapes {shapes}, not (N, N), (m,), (m,)")
+    n, m = block[0], into[0]
+    try:
+        class_sizes(n, m)
+    except ValueError as exc:
+        raise ValueError(f"state has shapes {shapes}: {exc}") from None
+    return n, m
+
+
+def initial_state(n: int, m: int) -> WalkState:
     """Uniform state on the clique arcs: 1/sqrt(N(N-1)) there, 0 on the star.
     Real (float64): the walk from it stays real."""
-    n, m = graph.n_clique, graph.n_leaves
+    class_sizes(n, m)
     clique = np.full((n, n), 1.0 / math.sqrt(n * (n - 1)))
     np.fill_diagonal(clique, 0.0)
     return WalkState(clique, np.zeros(m), np.zeros(m))
@@ -108,24 +125,19 @@ class _Affine(NamedTuple):
     star_out: np.ndarray
 
 
-def _check_shapes(arrays, needed) -> None:
-    shapes = tuple(array.shape for array in arrays)
-    if shapes != needed:
-        raise ValueError(f"state has shapes {shapes}, graph needs {needed}")
-
-
-def _advance(graph: GluedGraph, state: WalkState | _Affine | None, leaf_phase: LeafPhase,
+def _advance(n: int, m: int, state: WalkState | _Affine | None, leaf_phase: LeafPhase,
              steps, columns=None):
     """The step kernel: an iterator of ``(a, b, star_in, star_out)`` after
-    each of the ascending step counts ``steps`` from ``state``: ``None`` (the
-    uniform start, a = c·1), an ``_Affine`` start or a ``WalkState``.  After
+    each of the ascending step counts ``steps`` from ``state`` on the glued
+    graph of sizes (N, m): ``None`` (the uniform start, a = c·1), an
+    ``_Affine`` start or a ``WalkState``, either of those sizes.  After
     t steps the block is 1aᵀ + b1ᵀ off its diagonal; ``hub_series`` reads
     it.  A ``WalkState``'s block X is carried one step only, to b1ᵀ - Xᵀ
     (``_clique``), so a later step count raises; a caller that steps one
     state in both leaf phases passes ``_column_sums(state)`` as ``columns``.
     The yielded arrays are the kernel's own and change on the next step.
-    The start is checked and read on the call, so a bad one raises even when
-    no step is asked for.
+    The start is read on the call, so a start of other sizes than (N, m),
+    and a later step count, raise before any step.
 
     With f = 2/(N-1) the incoming sums of the block are
     g[w] = (N-1)a[w] - b[w] + sum(b), and the coin and shift give a' = -b and
@@ -134,25 +146,28 @@ def _advance(graph: GluedGraph, state: WalkState | _Affine | None, leaf_phase: L
     places its scaled column sums, diagonal included, in b and leaves a
     zero.
     """
-    n, m = graph.n_clique, graph.n_leaves
     column = None
     if state is None:
         a = np.full(n, 1.0 / math.sqrt(n * (n - 1)))
         b, star_in, star_out = np.zeros(n), np.zeros(m), np.zeros(m)
         a_sum = n * a[0]
     elif isinstance(state, _Affine):
-        _check_shapes(state, ((n,), (n,), (m,), (m,)))
+        shapes = tuple(np.shape(vector) for vector in state)
+        if shapes != ((n,), (n,), (m,), (m,)):
+            raise ValueError(f"start has shapes {shapes}, not ({n},), ({n},), ({m},), ({m},)")
         dtype = np.result_type(*state, np.float64)
         a, b, star_in, star_out = (np.array(vector, dtype) for vector in state)
         a_sum = a.sum()
     else:
-        arrays = (state.clique, state.star_in, state.star_out)
-        _check_shapes(arrays, ((n, n), (m,), (m,)))
+        if _sizes(state) != (n, m):
+            arrays = (state.clique, state.star_in, state.star_out)
+            shapes = tuple(np.shape(array) for array in arrays)
+            raise ValueError(f"state has shapes {shapes}, not ({n}, {n}), ({m},), ({m},)")
         if len(steps) and steps[-1] > 1:
             raise ValueError(
                 "a given state is stepped once per call; iterate step to evolve it further"
             )
-        dtype = np.result_type(*arrays, np.float64)
+        dtype = np.result_type(state.clique, state.star_in, state.star_out, np.float64)
         a, b = np.zeros(n, dtype), np.zeros(n, dtype)
         star_in, star_out = np.array(state.star_in, dtype), np.array(state.star_out, dtype)
         a_sum = 0.0
@@ -216,19 +231,16 @@ def _clique(start: np.ndarray, b: np.ndarray) -> np.ndarray:
     return memory.T
 
 
-def step(
-    graph: GluedGraph,
-    state: WalkState,
-    leaf_phase: LeafPhase = LeafPhase.REVERSAL,
-) -> WalkState:
+def step(state: WalkState, leaf_phase: LeafPhase = LeafPhase.REVERSAL) -> WalkState:
     """Advance the walk by one step (coin, then shift).
 
     Grouped by terminus, the coin sends each amplitude to
     2/deg(v) * (incoming sum at v) - itself wherever the coin has support,
     and to minus itself on the leaves under phase reversal.
     """
-    _, b, star_in, star_out = next(_advance(graph, state, leaf_phase, (1,)))
-    return WalkState(_clique(state.clique, b), star_in, star_out, state.time + 1)
+    n, m = _sizes(state)
+    _, b, star_in, star_out = next(_advance(n, m, state, leaf_phase, (1,)))
+    return WalkState(_clique(state.clique, b), star_in, star_out)
 
 
 def _hub_probability(incoming: np.ndarray) -> np.ndarray:
@@ -240,8 +252,9 @@ def _hub_probability(incoming: np.ndarray) -> np.ndarray:
     return np.matmul(parts[..., None, :], parts[..., :, None])[..., 0, 0]
 
 
-def collapse(graph: GluedGraph, state: WalkState) -> CollapsedState:
+def collapse(state: WalkState) -> CollapsedState:
     """Project onto the class-uniform space: per class, sum / sqrt(size)."""
+    n, m = _sizes(state)
     block = state.clique
     sums = np.array(
         [
@@ -253,17 +266,16 @@ def collapse(graph: GluedGraph, state: WalkState) -> CollapsedState:
         ],
         dtype=np.complex128,
     )
-    sizes = np.asarray(class_sizes(graph.n_clique, graph.n_leaves), dtype=np.float64)
-    return CollapsedState(amplitudes=sums / np.sqrt(sizes), time=state.time)
+    sizes = np.asarray(class_sizes(n, m), dtype=np.float64)
+    return CollapsedState(amplitudes=sums / np.sqrt(sizes))
 
 
-def lift(graph: GluedGraph, state: CollapsedState) -> WalkState:
+def lift(n: int, m: int, state: CollapsedState) -> WalkState:
     """Adjoint of collapse: spread each class amplitude uniformly over the class.
 
     lift(collapse(psi)) is the orthogonal projection onto the class-uniform
     space; it fixes any class-uniform state exactly.
     """
-    n, m = graph.n_clique, graph.n_leaves
     sizes = np.asarray(class_sizes(n, m), dtype=np.float64)
     per_arc = state.amplitudes / np.sqrt(sizes)
     clique = np.full((n, n), per_arc[ArcClass.CLIQUE_INTERIOR], dtype=np.complex128)
@@ -274,16 +286,14 @@ def lift(graph: GluedGraph, state: CollapsedState) -> WalkState:
         clique,
         np.full(m, per_arc[ArcClass.STAR_IN]),
         np.full(m, per_arc[ArcClass.STAR_OUT]),
-        state.time,
     )
 
 
-def _lifted(graph: GluedGraph, sums) -> _Affine:
+def _lifted(n: int, m: int, sums) -> _Affine:
     """``lift(collapse(state))`` as an ``_Affine`` start, from the state's
     five class sums (``collapse`` in ``ArcClass`` order, before its scaling):
     each class's mean per arc, the interior one in a, the hub-bound one in
     a[HUB], the hub-leaving one less the interior one in b[HUB]."""
-    n, m = graph.n_clique, graph.n_leaves
     interior, into_hub, out_of_hub, star_in, star_out = (
         complex(total) / size for total, size in zip(sums, class_sizes(n, m))
     )
@@ -311,24 +321,27 @@ def _off_diagonal_square(a: np.ndarray, b: np.ndarray) -> float:
     return n * (n - 1) * abs(mean_a + mean_b) ** 2 + spread.real
 
 
-def hub_series(graph: GluedGraph, leaf_phase: LeafPhase, times) -> HubSeries:
+def hub_series(n: int, m: int, leaf_phase: LeafPhase, times) -> HubSeries:
     """Hub series of the uniform start after each of the ascending step
     counts ``times``; p_hub is measured on the arcs into the hub.  The start
-    is never built: O(N + m) memory.
+    is never built: O(N + m) memory.  Refuses (N, m) outside the domain of
+    ``class_sizes``, and an arc count beyond the platform's addressable size.
 
     The probe runs a block of rows at a time: each step writes b + a[HUB]
     and its star vector into one row of a buffer of at most
     ``_PROBE_ELEMENTS`` entries (at least one row), and a few vectorised
     calls per block then zero the hub columns' diagonal entry and read their
     p_hub and the two hub-bound class amplitudes of ``collapse``."""
+    arcs = sum(class_sizes(n, m))
+    if arcs > sys.maxsize:
+        raise ValueError(f"arc count {arcs} exceeds the platform's addressable size")
     steps = ascending_steps(times)
-    n, m = graph.n_clique, graph.n_leaves
     p = np.empty(len(steps), dtype=np.float64)
     clique_in = np.empty(len(steps), dtype=np.complex128)
     star_in = np.empty(len(steps), dtype=np.complex128)
     rows = max(1, min(len(steps), _PROBE_ELEMENTS // (n + m)))
     block = np.empty((rows, n + m))
-    walk = _advance(graph, None, leaf_phase, steps)
+    walk = _advance(n, m, None, leaf_phase, steps)
     for low in range(0, len(steps), rows):
         chunk = steps[low : low + rows]
         for row, (a, b, leaves_in, _) in zip(range(len(chunk)), walk):

@@ -4,9 +4,9 @@ Take the complete graph on ``n_clique`` vertices and identify one of them
 with the center of a star carrying ``n_leaves`` leaves.  The identified
 vertex (the *hub*) is the search target of every walk in this package.
 Each undirected edge contributes two mutually inverse arcs.  The arc set is
-fixed by the two sizes, so the graph stores only those and the arc count;
-the arc-space walk keeps its amplitudes in a structured layout (see
-``full_walk``) and needs no per-arc index table.
+fixed by the two sizes, so no graph object is built: ``class_sizes`` counts
+the arcs of each class, and the arc-space walk keeps its amplitudes in a
+structured layout (see ``full_walk``) whose array shapes give N and m.
 
 This module decides the package's parameter domain, which every evaluator
 and the command line share: a clique size N from 3 to 2**63 - 1, a leaf
@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 
-#: Vertex id of the glued vertex; the hub always gets the lowest id.
+#: Vertex id of the glued vertex, the hub: the lowest.  The ordinary clique
+#: vertices are 1..N-1, then come the leaves.
 HUB = 0
 
 #: Largest clique size, and largest step count: int64's maximum, 2**63 - 1.
@@ -73,23 +73,6 @@ class LeafPhase(Enum):
 
     REVERSAL = "reversal"
     PLAIN = "plain"
-
-
-@dataclass(frozen=True, eq=False)
-class GluedGraph:
-    """Sizes of the glued graph.
-
-    Vertex ids: the hub is ``HUB`` = 0, ordinary clique vertices are
-    1..n_clique-1, then the leaves.  Safe for concurrent shared reads.
-    """
-
-    n_clique: int
-    n_leaves: int
-    arc_count: int
-
-    @property
-    def n_vertices(self) -> int:
-        return self.n_clique + self.n_leaves
 
 
 def _validate_sizes(n_clique: int, n_leaves: int) -> None:
@@ -143,26 +126,3 @@ def class_sizes(n_clique: int, n_leaves: int) -> tuple[int, int, int, int, int]:
     n, m = n_clique, n_leaves
     return ((n - 1) * (n - 2), n - 1, n - 1, m, m)
 
-
-def build_graph(n_clique: int, n_leaves: int) -> GluedGraph:
-    """Validate the sizes of the glued graph.
-
-    Parameters
-    ----------
-    n_clique:
-        Number of clique vertices (>= 3); one of them becomes the hub.
-    n_leaves:
-        Number of star leaves attached to the hub (>= 1).
-
-    Returns
-    -------
-    GluedGraph
-        The sizes, with ``n_clique*(n_clique-1) + 2*n_leaves`` arcs.
-    """
-    _validate_sizes(n_clique, n_leaves)
-    arc_count = n_clique * (n_clique - 1) + 2 * n_leaves
-    if arc_count > sys.maxsize:
-        raise ValueError(
-            f"arc count {arc_count} exceeds the platform's addressable size"
-        )
-    return GluedGraph(n_clique=n_clique, n_leaves=n_leaves, arc_count=arc_count)

@@ -12,7 +12,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from . import asymptotics, collapsed, full_walk
-from .graph import LeafPhase, build_graph, leaves_from_alpha
+from .graph import LeafPhase, leaves_from_alpha
 from .spectral import EigenbasisEvaluator
 from .trace import ProbabilityTrace, trace_metadata
 
@@ -28,7 +28,7 @@ class Mode(NamedTuple):
 
 
 def _full(n, m, leaf_phase, alpha=None):
-    return partial(full_walk.hub_series, build_graph(n, m), leaf_phase)
+    return partial(full_walk.hub_series, n, m, leaf_phase)
 
 
 def _collapsed(n, m, leaf_phase, alpha=None):

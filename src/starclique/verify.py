@@ -19,7 +19,7 @@ import numpy as np
 
 from . import collapsed as cw
 from . import full_walk as fw
-from .graph import HUB, GluedGraph, LeafPhase, build_graph, class_sizes
+from .graph import HUB, LeafPhase, class_sizes
 from .modes import hub_trace
 from .spectral import (
     NUMERIC_TOLERANCE,
@@ -93,10 +93,10 @@ def judge(name: str, deviation: float, detail: str = "") -> CheckResult:
     return CheckResult(name, passed, deviation, tolerance, detail)
 
 
-def random_walk_states(graph: GluedGraph, count: int, seed: int) -> Iterator[fw.WalkState]:
-    """Random unit states on the arc space, drawn one at a time from one
-    generator into one buffer: each draw overwrites the state yielded before
-    it, so a caller that keeps a state copies it.
+def random_walk_states(n: int, m: int, count: int, seed: int) -> Iterator[fw.WalkState]:
+    """Random unit states on the arc space of sizes (N, m), drawn one at a
+    time from one generator into one buffer: each draw overwrites the state
+    yielded before it, so a caller that keeps a state copies it.
 
     Each state is one block of 2(N^2 + 2m) uniform doubles, centred and read
     as complex amplitudes, so both parts of every arc are uniform on
@@ -106,8 +106,8 @@ def random_walk_states(graph: GluedGraph, count: int, seed: int) -> Iterator[fw.
     uniform block costs a fifth of a Gaussian pair.  ``run_checks`` checks
     each state on the structured kernel and holds about one complex copy of
     the arcs at its peak, the buffer (``tracemalloc``: 1.06 at N = 400)."""
+    class_sizes(n, m)
     rng = np.random.default_rng(seed)
-    n, m = graph.n_clique, graph.n_leaves
     flat = np.empty(2 * (n * n + 2 * m))
     psi = flat.view(np.complex128)
     clique = psi[: n * n].reshape(n, n)  # a view: the fill writes psi
@@ -121,7 +121,7 @@ def random_walk_states(graph: GluedGraph, count: int, seed: int) -> Iterator[fw.
 
 
 def _random_state_deviations(
-    graph: GluedGraph, state: fw.WalkState, leaf_phase: LeafPhase, other_phase: LeafPhase
+    n: int, m: int, state: fw.WalkState, leaf_phase: LeafPhase, other_phase: LeafPhase
 ) -> tuple[float, float]:
     """One state's projection-commutation and unitarity (the worse of the two
     leaf phases) deviations, on the structured kernel.
@@ -135,7 +135,6 @@ def _random_state_deviations(
     O(N + m) vectors.  X is read by the kernel's column sums, which both
     steps share, and apart from the kernel by the check's own column sums
     and squared norm; no N x N array is built."""
-    n = graph.n_clique
     x = state.clique
     columns = np.add.reduce(x, axis=0)
     hub_row = x[HUB].sum()
@@ -146,7 +145,7 @@ def _random_state_deviations(
 
     unitarity, kernel_columns = 0.0, fw._column_sums(state)
     for phase in (other_phase, leaf_phase):  # the step in leaf_phase is kept
-        _, b, star_in, star_out = next(fw._advance(graph, state, phase, (1,), kernel_columns))
+        _, b, star_in, star_out = next(fw._advance(n, m, state, phase, (1,), kernel_columns))
         norm2 = ((n - 1) * np.vdot(b, b) - 2 * np.vdot(columns, b) + x_norm2
                  + np.vdot(star_in, star_in) + np.vdot(star_out, star_out)).real
         unitarity = np.maximum(unitarity, abs(np.sqrt(norm2) - 1.0))
@@ -159,8 +158,8 @@ def _random_state_deviations(
         star_in.sum(),
         star_out.sum(),
     )
-    left = next(fw._advance(graph, fw._lifted(graph, class_sums), leaf_phase, (1,)))
-    right = fw._lifted(graph, stepped_sums)
+    left = next(fw._advance(n, m, fw._lifted(n, m, class_sums), leaf_phase, (1,)))
+    right = fw._lifted(n, m, stepped_sums)
     a_diff, b_diff, in_diff, out_diff = (l - r for l, r in zip(left, right))
     stars = (np.vdot(in_diff, in_diff) + np.vdot(out_diff, out_diff)).real
     commutation = np.sqrt(fw._off_diagonal_square(a_diff, b_diff) + stars)
@@ -168,15 +167,15 @@ def _random_state_deviations(
 
 
 def _random_state_checks(
-    graph: GluedGraph, leaf_phase: LeafPhase, other_phase: LeafPhase, seed: int
+    n: int, m: int, leaf_phase: LeafPhase, other_phase: LeafPhase, seed: int
 ) -> list[CheckResult]:
     """On ``RANDOM_STATES`` random unit states: commutation of the step with
     the class-averaging projection, and unitarity in both leaf phases, each
     at its worst state.  np.maximum keeps a NaN deviation, which the builtin
     max would drop.  No state outlives the call."""
     worst = np.zeros(2)
-    for state in random_walk_states(graph, RANDOM_STATES, seed):
-        worst = np.maximum(worst, _random_state_deviations(graph, state, leaf_phase, other_phase))
+    for state in random_walk_states(n, m, RANDOM_STATES, seed):
+        worst = np.maximum(worst, _random_state_deviations(n, m, state, leaf_phase, other_phase))
     commutation, unitarity = worst
     return [
         judge("projection_commutation", commutation, f"{RANDOM_STATES} random unit states"),
@@ -184,7 +183,7 @@ def _random_state_checks(
     ]
 
 
-def conjugated_reduced_operator(graph: GluedGraph, leaf_phase: LeafPhase) -> np.ndarray:
+def conjugated_reduced_operator(n: int, m: int, leaf_phase: LeafPhase) -> np.ndarray:
     """The 5x5 matrix obtained by sandwiching one full step between lift and
     collapse; must reproduce the closed-form reduced operator.
 
@@ -193,12 +192,11 @@ def conjugated_reduced_operator(graph: GluedGraph, leaf_phase: LeafPhase) -> np.
     With Σ' a sum off the hub, its interior arcs sum to (N-2)(Σ'a + Σ'b),
     the arcs into the hub to (N-1)a[HUB] + Σ'b and those out of it to
     Σ'a + (N-1)b[HUB]."""
-    n, m = graph.n_clique, graph.n_leaves
     scale = np.sqrt(np.asarray(class_sizes(n, m), dtype=np.float64))
     matrix = np.zeros((5, 5), dtype=np.complex128)
     for j, sums in enumerate(np.diag(scale)):  # the class sums of each lift
-        start = fw._lifted(graph, sums)
-        a, b, star_in, star_out = next(fw._advance(graph, start, leaf_phase, (1,)))
+        start = fw._lifted(n, m, sums)
+        a, b, star_in, star_out = next(fw._advance(n, m, start, leaf_phase, (1,)))
         a_rest, b_rest = a.sum() - a[HUB], b.sum() - b[HUB]
         matrix[:, j] = ((n - 2) * (a_rest + b_rest), (n - 1) * a[HUB] + b_rest,
                         a_rest + (n - 1) * b[HUB], star_in.sum(), star_out.sum())
@@ -219,7 +217,6 @@ def run_checks(
     ``inject_leaf_phase_flip`` is a self-test hook: it flips the leaf phase
     in the full evolution only, which must make the cross checks fail.
     """
-    graph = build_graph(n_clique, n_leaves)
     other_phase = LeafPhase.PLAIN if leaf_phase is LeafPhase.REVERSAL else LeafPhase.REVERSAL
     full_phase = other_phase if inject_leaf_phase_flip else leaf_phase
 
@@ -234,10 +231,10 @@ def run_checks(
         )
     ]
 
-    checks += _random_state_checks(graph, leaf_phase, other_phase, seed)
+    checks += _random_state_checks(n_clique, n_leaves, leaf_phase, other_phase, seed)
 
     # closed-form reduced operator vs conjugated full operator
-    conjugated = conjugated_reduced_operator(graph, leaf_phase)
+    conjugated = conjugated_reduced_operator(n_clique, n_leaves, leaf_phase)
     ops = cw.build_reduced_operators(n_clique, n_leaves, leaf_phase)
     checks.append(
         judge("reduced_operator_conjugation", np.abs(conjugated - ops.evolution).max())
@@ -285,8 +282,8 @@ def run_checks(
     # collapse/lift round trip is the identity on the class-uniform space
     dev = 0.0
     for basis in np.eye(5, dtype=np.complex128):  # one lifted block at a time
-        back = fw.collapse(graph, fw.lift(graph, cw.CollapsedState(amplitudes=basis))).amplitudes
-        dev = np.maximum(dev, np.abs(back - basis).max())
+        back = fw.collapse(fw.lift(n_clique, n_leaves, cw.CollapsedState(amplitudes=basis)))
+        dev = np.maximum(dev, np.abs(back.amplitudes - basis).max())
     checks.append(judge("collapse_lift_roundtrip", dev))
 
     return VerificationReport(

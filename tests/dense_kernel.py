@@ -18,19 +18,15 @@ from starclique.full_walk import WalkState
 from starclique.graph import HUB, LeafPhase
 
 
-def _private_arrays(graph, state):
+def _private_arrays(state):
     """C-contiguous copies of the state's arrays, in one dtype, that the
     kernel may overwrite."""
-    n, m = graph.n_clique, graph.n_leaves
-    shapes = (state.clique.shape, state.star_in.shape, state.star_out.shape)
-    if shapes != ((n, n), (m,), (m,)):
-        raise ValueError(f"state has shapes {shapes}, graph needs {((n, n), (m,), (m,))}")
     arrays = (state.clique, state.star_in, state.star_out)
     dtype = np.result_type(*arrays, np.float64)
     return tuple(np.array(a, dtype, order="C") for a in arrays)
 
 
-def advance(graph, state, leaf_phase, steps):
+def advance(state, leaf_phase, steps):
     """Yield ``(clique, star_in, star_out)`` after each of the ascending step
     counts ``steps``, advancing one private copy of ``state`` in place.  The
     yielded arrays are the kernel's own and change on the next step.
@@ -39,8 +35,8 @@ def advance(graph, state, leaf_phase, steps):
     incoming sums times 2/deg; the shift then reads the block transposed and
     swaps the star vectors.
     """
-    n, m = graph.n_clique, graph.n_leaves
-    clique, star_in, star_out = _private_arrays(graph, state)
+    clique, star_in, star_out = _private_arrays(state)
+    n, m = clique.shape[0], star_in.size
     ones = np.ones(n, dtype=clique.dtype)
     g = np.empty(n, dtype=clique.dtype)
     diagonal = clique.reshape(-1)[:: n + 1]  # a view: the block is C-contiguous
@@ -63,24 +59,24 @@ def advance(graph, state, leaf_phase, steps):
         yield clique, star_in, star_out
 
 
-def step(graph, state, leaf_phase):
-    clique, star_in, star_out = next(advance(graph, state, leaf_phase, (1,)))
-    return WalkState(clique.copy(), star_in.copy(), star_out.copy(), state.time + 1)
+def step(state, leaf_phase):
+    clique, star_in, star_out = next(advance(state, leaf_phase, (1,)))
+    return WalkState(clique.copy(), star_in.copy(), star_out.copy())
 
 
-def hub_row(graph, clique, star_in):
+def hub_row(clique, star_in):
     """p_hub on the arcs into the hub, |clique[:, HUB]|^2 + |star_in|^2, and
     the two hub-bound class amplitudes of one state, as
     ``full_walk.hub_series`` reports them."""
     incoming = clique[:, HUB]
     p = (np.vdot(incoming, incoming) + np.vdot(star_in, star_in)).real
-    return (p, incoming[1:].sum() / math.sqrt(graph.n_clique - 1),
-            star_in.sum() / math.sqrt(graph.n_leaves))
+    return (p, incoming[1:].sum() / math.sqrt(incoming.size - 1),
+            star_in.sum() / math.sqrt(star_in.size))
 
 
-def hub_series(graph, state, leaf_phase, times):
+def hub_series(state, leaf_phase, times):
     """``hub_row`` after each of the ascending step counts ``times``."""
     steps = ascending_steps(times)
-    rows = [hub_row(graph, clique, star_in)
-            for clique, star_in, _ in advance(graph, state, leaf_phase, steps)]
+    rows = [hub_row(clique, star_in)
+            for clique, star_in, _ in advance(state, leaf_phase, steps)]
     return [np.array(column) for column in zip(*rows)]

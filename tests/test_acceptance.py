@@ -46,10 +46,9 @@ def test_criterion_2_projection_commutation():
     worst = 0.0
     for n in (5, 20, 50):
         for m in (1, 4, 20):
-            graph = sc.build_graph(n, m)
-            for state in random_walk_states(graph, 100, seed=0):
-                left = sc.step(graph, sc.lift(graph, sc.collapse(graph, state)))
-                right = sc.lift(graph, sc.collapse(graph, sc.step(graph, state)))
+            for state in random_walk_states(n, m, 100, seed=0):
+                left = sc.step(sc.lift(n, m, sc.collapse(state)))
+                right = sc.lift(n, m, sc.collapse(sc.step(state)))
                 dev = float(np.linalg.norm(arc_amplitudes(left) - arc_amplitudes(right)))
                 worst = max(worst, dev)
     _report(2, "projection commutation", worst < 1e-12, f"max norm = {worst:.3e}")

@@ -247,7 +247,7 @@ def test_full_mode_has_no_arc_budget(tmp_path, capsys):
     assert compare_traces.mismatch(read_trace(full), read_trace(reduced), 6) == ""
     capsys.readouterr()
 
-    # beyond sys.maxsize arcs: build_graph's addressable-size check
+    # beyond sys.maxsize arcs: full_walk.hub_series' addressable-size check
     out = tmp_path / "huge.csv"
     code = main(
         ["simulate", "--n", "4000000000", "--m", "1", "--steps", "5",

@@ -62,8 +62,7 @@ def test_evolution_is_orthogonal(n, m, phase):
 @pytest.mark.parametrize("phase", [LeafPhase.REVERSAL, LeafPhase.PLAIN])
 def test_reduced_matches_conjugated_full_operator(n, m, phase):
     # closed-form entries against collapse . step . lift on the real graph
-    graph = sc.build_graph(n, m)
-    conjugated = conjugated_reduced_operator(graph, phase)
+    conjugated = conjugated_reduced_operator(n, m, phase)
     ops = sc.build_reduced_operators(n, m, phase)
     assert np.abs(conjugated - ops.evolution).max() < 1e-13
 
@@ -80,8 +79,7 @@ def test_collapsed_initial_state_values():
 
 @pytest.mark.parametrize("n,m", [(3, 1), (50, 7), (200, 14)])
 def test_collapsed_initial_state_matches_collapse(n, m):
-    g = sc.build_graph(n, m)
-    via_graph = sc.collapse(g, sc.initial_state(g)).amplitudes
+    via_graph = sc.collapse(sc.initial_state(n, m)).amplitudes
     closed = sc.collapsed_initial_state(n, m).amplitudes
     assert np.abs(via_graph - closed).max() < 1e-14
 

@@ -16,7 +16,6 @@ EXPORTS = {
     "CollapsedState": "verify builds the five class basis states as these",
     "EigenbasisEvaluator": "the closed mode's evaluator (simulate, verify), optimal-time",
     "ExponentFit": "the result type of exponent_fit",
-    "GluedGraph": "the result type of build_graph",
     "LeafPhase": "simulate and verify --leaf-phase",
     "ProbabilityTrace": "simulate writes it; the benchmark's read-back op parses it",
     "ReducedOperators": "the result type of build_reduced_operators",
@@ -24,24 +23,23 @@ EXPORTS = {
     "VerificationReport": "the result type of run_checks",
     "WalkState": "the state type that initial_state, step and lift return",
     "audit_closed_forms": "spectrum, acceptance criterion 9",
-    "build_graph": "simulate --mode full, verify, acceptance",
     "build_reduced_operators": "simulate --mode collapsed, verify, acceptance",
     "class_sizes": "the class sizes that collapse and lift normalise by",
     "closed_form_probability": "the benchmark's library query, one row of "
     "EigenbasisEvaluator.hub_series",
-    "collapse": "verify, acceptance criterion 2",
+    "collapse": "collapse(state), N and m read from its shapes: verify, acceptance criterion 2",
     "collapsed_initial_state": "simulate --mode collapsed, verify, acceptance",
     "discriminant_angles": "verify, acceptance criteria 3 and 6",
     "evolve_collapsed": "the trace from a given collapsed state: the benchmark's checks",
     "exponent_fit": "phase-diagram, acceptance criterion 5",
     "hub_trace": "the one uniform-start trace of every mode: simulate, verify, acceptance",
-    "initial_state": "the uniform start as a WalkState, for step",
+    "initial_state": "initial_state(n, m): the uniform start as a WalkState, for step",
     "leaves_from_alpha": "every command's --alpha, acceptance",
-    "lift": "verify, acceptance criterion 2",
+    "lift": "lift(n, m, collapsed): verify, acceptance criterion 2",
     "optimal_time_branch": "optimal-time",
     "optimal_time_exact": "optimal-time, acceptance criteria 4, 6 and 7",
     "run_checks": "verify",
-    "step": "acceptance criterion 2",
+    "step": "step(state, leaf_phase), N and m read from its shapes: acceptance criterion 2",
     "walk_eigensystem": "verify's spectral checks",
 }
 

@@ -66,9 +66,8 @@ def _random_state(n, m, seed, real):
     phase=st.sampled_from(LeafPhase),
 )
 def test_step_preserves_norm(n, m, seed, real, phase):
-    g = sc.build_graph(n, m)
     state = _random_state(n, m, seed, real)
-    out = sc.step(g, state, phase)
+    out = sc.step(state, phase)
     assert out.clique.dtype == state.clique.dtype
     assert abs(np.linalg.norm(arc_amplitudes(out)) - 1.0) <= 1e-12
 

@@ -25,8 +25,8 @@ def _inject(monkeypatch, fault, only=None):
     # these vectors, and so does the public step that the dense route runs
     advance = full_walk._advance
 
-    def faulty(graph, state, leaf_phase, steps, columns=None):
-        for vectors in advance(graph, state, leaf_phase, steps, columns):
+    def faulty(n, m, state, leaf_phase, steps, columns=None):
+        for vectors in advance(n, m, state, leaf_phase, steps, columns):
             if only in (None, leaf_phase):
                 vectors = fault(*(vector.copy() for vector in vectors))
             yield vectors
@@ -70,15 +70,15 @@ def _arc_norm(*states):
     return np.sqrt(sum(np.vdot(p, p).real for p in parts))
 
 
-def _dense_deviations(graph, state, leaf_phase, other_phase):
+def _dense_deviations(n, m, state, leaf_phase, other_phase):
     # one state's two deviations by the dense route: the public step, lift
     # and collapse, and arc-wise differences of whole states
     fw = full_walk
-    stepped = fw.step(graph, state, leaf_phase)
-    left = fw.step(graph, fw.lift(graph, fw.collapse(graph, state)), leaf_phase)
-    right = fw.lift(graph, fw.collapse(graph, stepped))
+    stepped = fw.step(state, leaf_phase)
+    left = fw.step(fw.lift(n, m, fw.collapse(state)), leaf_phase)
+    right = fw.lift(n, m, fw.collapse(stepped))
     unitarity = np.max([abs(_arc_norm(out) - 1.0)
-                        for out in (stepped, fw.step(graph, state, other_phase))])
+                        for out in (stepped, fw.step(state, other_phase))])
     return _arc_norm(left, right), unitarity
 
 
@@ -94,9 +94,8 @@ def test_non_unitary_step_fails_unitarity(monkeypatch):
     check = _check(report, "unitarity")
     assert not check.passed
     assert 1e-11 < check.max_deviation < 1e-9
-    g = sc.build_graph(20, 4)
-    dense = max(_dense_deviations(g, state, LeafPhase.REVERSAL, LeafPhase.PLAIN)[1]
-                for state in verify.random_walk_states(g, verify.RANDOM_STATES, 3))
+    dense = max(_dense_deviations(20, 4, state, LeafPhase.REVERSAL, LeafPhase.PLAIN)[1]
+                for state in verify.random_walk_states(20, 4, verify.RANDOM_STATES, 3))
     assert check.max_deviation == pytest.approx(dense, rel=1e-3)
 
 
@@ -156,11 +155,10 @@ def test_structured_deviations_match_the_dense_route(monkeypatch, n, m, phase, f
     # sound kernel and on one that breaks the class symmetry
     if fault is not None:
         _inject(monkeypatch, fault)
-    g = sc.build_graph(n, m)
     worst = 0.0
-    for state in verify.random_walk_states(g, verify.RANDOM_STATES, seed=n + m):
-        got = verify._random_state_deviations(g, state, phase, _OTHER[phase])
-        want = _dense_deviations(g, state, phase, _OTHER[phase])
+    for state in verify.random_walk_states(n, m, verify.RANDOM_STATES, seed=n + m):
+        got = verify._random_state_deviations(n, m, state, phase, _OTHER[phase])
+        want = _dense_deviations(n, m, state, phase, _OTHER[phase])
         assert np.abs(np.subtract(got, want)).max() <= 1e-13
         worst = max(worst, got[0])
     assert (worst > 1e-3) == (fault is not None)  # the fault shows
@@ -171,12 +169,11 @@ def test_structured_deviations_match_the_dense_route(monkeypatch, n, m, phase, f
 def test_conjugated_operator_matches_the_dense_route(n, m, phase):
     # the class sums read from the stepped vectors against the public lift,
     # step and collapse of each class basis state
-    g = sc.build_graph(n, m)
     dense = np.column_stack([
-        full_walk.collapse(g, full_walk.step(g, full_walk.lift(g, sc.CollapsedState(e)), phase))
+        full_walk.collapse(full_walk.step(full_walk.lift(n, m, sc.CollapsedState(e)), phase))
         .amplitudes for e in np.eye(5, dtype=np.complex128)
     ])
-    assert np.abs(verify.conjugated_reduced_operator(g, phase) - dense).max() <= 1e-14
+    assert np.abs(verify.conjugated_reduced_operator(n, m, phase) - dense).max() <= 1e-14
 
 
 # every check's name and tolerance, in report order, as run_checks(20, 4, 30,
@@ -261,10 +258,9 @@ def test_random_state_checks_hold_three_copies():
 def test_random_states_are_the_listed_draws():
     # the states, in order, of one generator drawing one centred uniform
     # block of complex amplitudes per state, scaled as doubles
-    g = sc.build_graph(9, 4)
     rng = np.random.default_rng(5)
     size = 81 + 8
-    drawn = verify.random_walk_states(g, 3, seed=5)
+    drawn = verify.random_walk_states(9, 4, 3, seed=5)
     for _ in range(3):
         flat = rng.random(2 * size) - 0.5
         psi = flat.view(np.complex128)
@@ -276,21 +272,20 @@ def test_random_states_are_the_listed_draws():
     assert next(drawn, None) is None
 
 
-def _drawn(graph, seed):
+def _drawn(n, m, seed):
     # each state copied as it is drawn: the next draw overwrites it
     return [np.concatenate([s.clique.ravel(), s.star_in, s.star_out])
-            for s in verify.random_walk_states(graph, verify.RANDOM_STATES, seed)]
+            for s in verify.random_walk_states(n, m, verify.RANDOM_STATES, seed)]
 
 
 def test_random_states_are_distinct_unit_states_that_repeat():
-    g = sc.build_graph(12, 5)
-    flat = _drawn(g, seed=9)
+    flat = _drawn(12, 5, seed=9)
     for vector in flat:
         assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-15)
         assert not vector[:144:13].any()  # the clique diagonal
         assert np.count_nonzero(vector) == vector.size - 12  # every arc off the diagonal
     assert len({vector.tobytes() for vector in flat}) == len(flat)
-    for vector, again in zip(flat, _drawn(g, seed=9)):
+    for vector, again in zip(flat, _drawn(12, 5, seed=9)):
         assert np.array_equal(vector, again)
 
 
@@ -301,11 +296,11 @@ def test_random_states_are_distinct_unit_states_that_repeat():
 def test_nan_lift_fails_collapse_lift_roundtrip(monkeypatch):
     lift = full_walk.lift
 
-    def faulty(graph, state):
-        out = lift(graph, state)
+    def faulty(n, m, state):
+        out = lift(n, m, state)
         clique = out.clique.copy()
         clique[2, 3] = np.nan  # an interior clique arc
-        return sc.WalkState(clique, out.star_in, out.star_out, out.time)
+        return sc.WalkState(clique, out.star_in, out.star_out)
 
     monkeypatch.setattr(full_walk, "lift", faulty)
     check = _check(verify.run_checks(20, 4, 30, seed=3), "collapse_lift_roundtrip")
