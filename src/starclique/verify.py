@@ -19,7 +19,7 @@ import numpy as np
 
 from . import collapsed as cw
 from . import full_walk as fw
-from .graph import HUB, LeafPhase, class_sizes
+from .graph import INVERSE_CLASS, ArcClass, LeafPhase, class_sizes
 from .modes import hub_trace
 from .spectral import (
     NUMERIC_TOLERANCE,
@@ -127,37 +127,31 @@ def _random_state_deviations(
     leaf phases) deviations, on the structured kernel.
 
     A step from the state's block X (zero diagonal, as every ``WalkState``'s)
-    leaves b1ᵀ - Xᵀ off the diagonal, with a = 0 (``full_walk._advance``), so
-    its squared norm is (N-1)|b|^2 - 2 Re<b, cs> + |X|^2 plus the star's, cs
-    being X's column sums, and its class sums follow from b, cs and X's
-    hub-row sum.  The lift of five class amplitudes is an ``_Affine`` start
-    and a step from it another, so the commutation's two sides differ by
-    O(N + m) vectors.  X is read by the kernel's column sums, which both
-    steps share, and apart from the kernel by the check's own column sums
-    and squared norm; no N x N array is built."""
+    leaves b1ᵀ - Xᵀ off the diagonal (``full_walk._block_step``), so its
+    squared norm is (N-1)|b|^2 - 2 Re<b, cs> + |X|^2 plus the star's, cs
+    being X's column sums, and its class sums are those of the affine block
+    of b less X's with IN and OUT swapped (the transpose).  The lift of five
+    class amplitudes is an ``_Affine`` start and a step from it another, so
+    the commutation's two sides differ by O(N + m) vectors.  X is read by the
+    kernel's column sums, which both steps share, by ``full_walk``'s class
+    sums, and apart from both by the check's own column sums and squared
+    norm; no N x N array is built."""
     x = state.clique
     columns = np.add.reduce(x, axis=0)
-    hub_row = x[HUB].sum()
     flat = x.ravel(order="K")
     x_norm2 = np.vdot(flat, flat).real
-    interior = columns.sum() - columns[HUB] - hub_row
-    class_sums = (interior, columns[HUB], hub_row, state.star_in.sum(), state.star_out.sum())
+    class_sums = fw._class_sums(state)
 
     unitarity, kernel_columns = 0.0, fw._column_sums(state)
     for phase in (other_phase, leaf_phase):  # the step in leaf_phase is kept
-        _, b, star_in, star_out = next(fw._advance(n, m, state, phase, (1,), kernel_columns))
+        b, star_in, star_out = fw._block_step(state, phase, kernel_columns)
         norm2 = ((n - 1) * np.vdot(b, b) - 2 * np.vdot(columns, b) + x_norm2
                  + np.vdot(star_in, star_in) + np.vdot(star_out, star_out)).real
         unitarity = np.maximum(unitarity, abs(np.sqrt(norm2) - 1.0))
 
-    b_rest = b.sum() - b[HUB]
-    stepped_sums = (
-        (n - 2) * b_rest - interior,
-        b_rest - hub_row,
-        (n - 1) * b[HUB] - columns[HUB],
-        star_in.sum(),
-        star_out.sum(),
-    )
+    transposed = class_sums[list(INVERSE_CLASS)]  # Xᵀ's class sums
+    transposed[ArcClass.STAR_IN:] = 0.0  # the star vectors are the step's own
+    stepped_sums = fw._affine_class_sums(np.zeros_like(b), b, star_in, star_out) - transposed
     left = next(fw._advance(n, m, fw._lifted(n, m, class_sums), leaf_phase, (1,)))
     right = fw._lifted(n, m, stepped_sums)
     a_diff, b_diff, in_diff, out_diff = (l - r for l, r in zip(left, right))
@@ -188,18 +182,13 @@ def conjugated_reduced_operator(n: int, m: int, leaf_phase: LeafPhase) -> np.nda
     collapse; must reproduce the closed-form reduced operator.
 
     The lift of each class basis state is an ``_Affine`` start, so its step
-    is O(N + m) and the stepped block 1aᵀ + b1ᵀ is collapsed from a and b.
-    With Σ' a sum off the hub, its interior arcs sum to (N-2)(Σ'a + Σ'b),
-    the arcs into the hub to (N-1)a[HUB] + Σ'b and those out of it to
-    Σ'a + (N-1)b[HUB]."""
+    is O(N + m) and the stepped block 1aᵀ + b1ᵀ is collapsed from a and b
+    (``full_walk._affine_class_sums``)."""
     scale = np.sqrt(np.asarray(class_sizes(n, m), dtype=np.float64))
     matrix = np.zeros((5, 5), dtype=np.complex128)
     for j, sums in enumerate(np.diag(scale)):  # the class sums of each lift
         start = fw._lifted(n, m, sums)
-        a, b, star_in, star_out = next(fw._advance(n, m, start, leaf_phase, (1,)))
-        a_rest, b_rest = a.sum() - a[HUB], b.sum() - b[HUB]
-        matrix[:, j] = ((n - 2) * (a_rest + b_rest), (n - 1) * a[HUB] + b_rest,
-                        a_rest + (n - 1) * b[HUB], star_in.sum(), star_out.sum())
+        matrix[:, j] = fw._affine_class_sums(*next(fw._advance(n, m, start, leaf_phase, (1,))))
     return matrix / scale[:, None]
 
 

@@ -4,9 +4,8 @@ The reference the structured kernel of ``starclique.full_walk`` is checked
 against.  It stores the whole clique block and advances a private copy in
 place: the incoming sums are one BLAS product ``ones @ clique``, the coin
 subtracts the block from one row of per-vertex values, and the shift is a
-transpose.  Like the structured kernel, and unlike ``arc_table``, it counts
-a start's clique diagonal in the first step's incoming sums and zeroes it
-after.
+transpose.  It takes a start with a zero clique diagonal, as ``step``
+does, and zeroes the diagonal that the coin writes.
 """
 
 import math

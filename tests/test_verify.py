@@ -20,18 +20,28 @@ def _check(report, name):
 
 
 def _inject(monkeypatch, fault, only=None):
-    # the step kernel, rewriting a copy of each (a, b, star_in, star_out) it
-    # yields (in leaf phase ``only``, if given): the random-state checks read
-    # these vectors, and so does the public step that the dense route runs
-    advance = full_walk._advance
+    # the step kernels, rewriting a copy of each (a, b, star_in, star_out)
+    # they return (in leaf phase ``only``, if given): ``_advance``, whose
+    # affine steps the traces and the lifted class averages run, and
+    # ``_block_step``, whose step from a given block (a = 0) the public step
+    # and the random-state checks run
+    advance, block_step = full_walk._advance, full_walk._block_step
 
-    def faulty(n, m, state, leaf_phase, steps, columns=None):
-        for vectors in advance(n, m, state, leaf_phase, steps, columns):
+    def faulty(n, m, start, leaf_phase, steps):
+        for vectors in advance(n, m, start, leaf_phase, steps):
             if only in (None, leaf_phase):
                 vectors = fault(*(vector.copy() for vector in vectors))
             yield vectors
 
+    def faulty_block(state, leaf_phase, columns):
+        vectors = block_step(state, leaf_phase, columns)
+        if only in (None, leaf_phase):
+            b = vectors[0]
+            vectors = fault(np.zeros_like(b), *(vector.copy() for vector in vectors))[1:]
+        return vectors
+
     monkeypatch.setattr(full_walk, "_advance", faulty)
+    monkeypatch.setattr(full_walk, "_block_step", faulty_block)
 
 
 def _scaled(a, b, star_in, star_out):
