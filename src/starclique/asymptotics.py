@@ -136,10 +136,10 @@ class ExponentFit:
     """
 
     alpha: float
-    samples: tuple[tuple[int, int], ...]  # (N, t_opt), strictly increasing N
     fitted_exponent: float
-    fit_residual: float
     theory_exponent: float
+    fit_residual: float
+    samples: tuple[tuple[int, int], ...]  # (N, t_opt), strictly increasing N
 
 
 def theory_exponent(alpha: float) -> float:
@@ -167,8 +167,8 @@ def exponent_fit(alpha: float, n_values: Sequence[int]) -> ExponentFit:
     residual = float(np.sqrt(np.mean((log_t - predicted) ** 2)))
     return ExponentFit(
         alpha=alpha,
-        samples=samples,
         fitted_exponent=float(slope),
-        fit_residual=residual,
         theory_exponent=theory_exponent(alpha),
+        fit_residual=residual,
+        samples=samples,
     )

@@ -178,14 +178,6 @@ class AuditedPair(EigenPair):
     component_deviations: np.ndarray  # float64 (5,)
     sign_swapped: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            **super().to_json_dict(),
-            "closed_form_deviation": self.closed_form_deviation,
-            "component_deviations": [float(v) for v in self.component_deviations],
-            "sign_swapped": self.sign_swapped,
-        }
-
 
 def _match_closed_form(
     n: int, m: int, x: int, sign: int, vector: np.ndarray
@@ -241,8 +233,10 @@ def _audit_eigenpairs(report: SpectrumReport) -> tuple[tuple[AuditedPair, ...], 
 class ClosedFormAudit:
     """Per-component comparison of every closed form against the analytic
     eigenbasis.  ``report`` is ``walk_eigensystem``'s with each pair's
-    closed-form match and the formula flags added; ``flagged`` lists
-    everything beyond FLAG_TOLERANCE."""
+    closed-form match added, and its ``formula_flags`` extended by the
+    eigenvector, label-swap and flip-normalization flags.  ``flagged`` is
+    those flags followed by the oscillator-expansion and parity flags, the
+    two that only it lists."""
 
     n_clique: int
     n_leaves: int
@@ -254,19 +248,6 @@ class ClosedFormAudit:
     corrected_amplitude_deviation: float
     parity_term_deviation: float
     flagged: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n_clique,
-            "m": self.n_leaves,
-            "beta_sq_exact": self.beta_sq_exact,
-            "beta_sq_expansion": self.beta_sq_expansion,
-            "beta_sq_relative_gap": self.beta_sq_relative_gap,
-            "amplitude_deviation": self.amplitude_deviation,
-            "corrected_amplitude_deviation": self.corrected_amplitude_deviation,
-            "parity_term_deviation": self.parity_term_deviation,
-            "flagged": list(self.flagged),
-        }
 
 
 def _max_gap(got: np.ndarray, want: np.ndarray) -> float:

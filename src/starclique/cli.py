@@ -99,10 +99,46 @@ def _atomic_write(path: str, write) -> None:
             os.unlink(tmp)
 
 
-def _write_json(path: str, payload) -> None:
-    """Write ``payload`` as JSON, indented by one, with a final newline."""
+#: A record field's JSON key, where it is not the field's name.
+_JSON_KEYS = {"n_clique": "n", "n_leaves": "m"}
+
+
+def _json_value(value):
+    """A field's value as JSON data: arrays and tuples as lists, and a
+    record as its ``_encode``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_json_value(item) for item in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return _encode(value)
+    return value
+
+
+def _encode(record) -> dict:
+    """A report record as a JSON object: its fields in order, under
+    ``_JSON_KEYS``' names, a complex field as a ``_re`` and an ``_im`` entry.
+    A field that holds another record is left out; that record is written
+    as its own section."""
+    encoded = {}
+    for name in record.__dataclass_fields__:
+        value = getattr(record, name)
+        if hasattr(value, "__dataclass_fields__"):
+            continue
+        key = _JSON_KEYS.get(name, name)
+        if isinstance(value, complex) or getattr(value, "dtype", None) == np.complex128:
+            encoded[f"{key}_re"] = _json_value(value.real)
+            encoded[f"{key}_im"] = _json_value(value.imag)
+        else:
+            encoded[key] = _json_value(value)
+    return encoded
+
+
+def _write_json(path: str, payload: dict) -> None:
+    """Write the package version, then ``payload``, as one JSON object,
+    indented by one, with a final newline."""
     def write(stream: io.TextIOBase) -> None:
-        json.dump(payload, stream, indent=1)
+        json.dump({"version": __version__, **payload}, stream, indent=1)
         stream.write("\n")
     _atomic_write(path, write)
 
@@ -147,14 +183,12 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    payload = {
-        "version": __version__,
-        "alpha": sizes.alpha,
-        "spectrum": audit.report.to_json_dict(),
-        "closed_form_audit": audit.to_json_dict(),
-    }
     path = _out_path(args, f"spectrum_n{sizes.n}_m{sizes.m}.json")
-    _write_json(path, payload)
+    _write_json(path, {
+        "alpha": sizes.alpha,
+        "spectrum": _encode(audit.report),
+        "closed_form_audit": _encode(audit),
+    })
     print(path)
     return 0
 
@@ -181,7 +215,7 @@ def _cmd_optimal_time(args: argparse.Namespace) -> int:
         print(f"{key}={value}")
     if args.out:
         path = _out_path(args, "")
-        _write_json(path, {"version": __version__, **record})
+        _write_json(path, record)
     return 0
 
 
@@ -194,29 +228,16 @@ def _parse_grid(text: str, kind) -> list:
 
 def _cmd_phase_diagram(args: argparse.Namespace) -> int:
     alphas = _parse_grid(args.alphas, float)
-    n_grid = _parse_grid(args.n_grid, int)
+    n_grid = sorted(set(_parse_grid(args.n_grid, int)))  # the sizes every fit samples
     if len(set(alphas)) < 2:
         raise ConfigError("phase diagram needs at least 2 alpha values")
-    if len(set(n_grid)) < 4:
+    if len(n_grid) < 4:
         raise ConfigError("phase diagram needs at least 4 clique sizes")
     fits = [asym.exponent_fit(alpha, n_grid) for alpha in alphas]
 
     path = _out_path(args, f"phase_diagram.{args.format}")
     if args.format == "json":
-        _write_json(path, {
-            "version": __version__,
-            "n_grid": list(n_grid),
-            "rows": [
-                {
-                    "alpha": fit.alpha,
-                    "fitted_exponent": fit.fitted_exponent,
-                    "theory_exponent": fit.theory_exponent,
-                    "fit_residual": fit.fit_residual,
-                    "samples": [list(s) for s in fit.samples],
-                }
-                for fit in fits
-            ],
-        })
+        _write_json(path, {"n_grid": n_grid, "rows": [_encode(fit) for fit in fits]})
     else:
         def write(stream: io.TextIOBase) -> None:
             stream.write(f"# version={__version__}\n")
@@ -264,10 +285,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.out:
         path = _out_path(args, "")
         _write_json(path, {
-            "version": __version__,
             "leaf_phase": phase.value,
             "inject_leaf_phase_flip": args.inject_leaf_phase_flip,
-            **report.to_json_dict(),
+            **_encode(report),
         })
     return 0 if report.passed else 1
 

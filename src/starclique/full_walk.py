@@ -213,8 +213,14 @@ _PROBE_ELEMENTS = 1 << 16
 
 def _clique(start: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The block after one step from ``start``: b1ᵀ - Xᵀ (a is zero then),
-    with a zero diagonal, in one N x N allocation laid out like the start,
-    so that both passes run in memory order for a C-ordered start."""
+    with a zero diagonal, in one C-ordered N x N allocation whose transpose
+    is returned, so the block returned is Fortran-ordered whatever the
+    start's layout.  Both passes run in memory order for a C-ordered start;
+    the next step from the block returned reads its start strided, which
+    costs about twice as much: at N = 2000, complex, best of 5 on a 2-core
+    Xeon, 33 ms per ``step`` from a step's own output against 17 ms from a
+    C-ordered state.  Another layout would change the summation order of
+    ``_column_sums`` and so the last bits of iterated steps."""
     memory = np.empty(start.shape, b.dtype)
     np.copyto(memory, b)  # memory[w, u] = b[u]: the block's transpose
     memory -= start

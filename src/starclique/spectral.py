@@ -269,18 +269,6 @@ class EigenPair:
     predicted_bound: float
     in_domain: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value_re": self.value.real,
-            "value_im": self.value.imag,
-            "vector_re": [float(v) for v in self.vector.real],
-            "vector_im": [float(v) for v in self.vector.imag],
-            "residual": self.residual,
-            "numeric_deviation": self.numeric_deviation,
-            "predicted_bound": self.predicted_bound,
-            "in_domain": self.in_domain,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
@@ -291,7 +279,11 @@ class SpectrumReport:
     two-plane ones that every evaluator uses; the numeric eigensolver is
     compared against them as a diagnostic.  ``formula_flags`` lists what
     the report cannot vouch for: from ``walk_eigensystem``, a numeric check
-    outside its domain; the audited report adds the closed forms' flags.
+    outside its domain.  The audited report (``ClosedFormAudit.report``)
+    lists, in order, each eigenvector that deviates from its closed form,
+    the rotation-label swap, that numeric-domain flag and the flip
+    normalization's; the oscillator-expansion and parity flags are in
+    ``ClosedFormAudit.flagged`` only.
     """
 
     n_clique: int
@@ -315,22 +307,6 @@ class SpectrumReport:
             (pair.numeric_deviation for pair in self.eigenpairs if pair.in_domain),
             default=0.0,
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n_clique,
-            "m": self.n_leaves,
-            "cos_theta_1": self.cos_theta_1,
-            "cos_theta_2": self.cos_theta_2,
-            "theta_1": self.theta_1,
-            "theta_2": self.theta_2,
-            "alpha_1_sq": self.alpha_1_sq,
-            "alpha_2_sq": self.alpha_2_sq,
-            "beta_sq": self.beta_sq,
-            "eigenpairs": [pair.to_json_dict() for pair in self.eigenpairs],
-            "residuals": list(self.residuals),
-            "formula_flags": list(self.formula_flags),
-        }
 
 
 def _aligned_gap(reference: np.ndarray, vector: np.ndarray) -> np.ndarray:

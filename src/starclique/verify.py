@@ -12,7 +12,7 @@ Used by the command-line ``verify`` command and by the tests.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -44,21 +44,8 @@ class VerificationReport:
     n_leaves: int
     steps: int
     seed: int
+    passed: bool  # every check passed
     checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n_clique,
-            "m": self.n_leaves,
-            "steps": self.steps,
-            "seed": self.seed,
-            "passed": self.passed,
-            "checks": [asdict(c) for c in self.checks],
-        }
 
 
 #: How many random unit states the random-state checks draw.
@@ -280,5 +267,6 @@ def run_checks(
         n_leaves=n_leaves,
         steps=steps,
         seed=seed,
+        passed=all(check.passed for check in checks),
         checks=tuple(checks),
     )

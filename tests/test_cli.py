@@ -587,6 +587,25 @@ def test_phase_diagram_fits(tmp_path, capsys):
     assert out.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_phase_diagram_names_the_grid_its_fits_sample(tmp_path, capsys, fmt):
+    def written(grid):
+        out = tmp_path / f"{grid}.{fmt}"
+        assert main(["phase-diagram", "--alphas", "0,1", "--n-grid", grid,
+                     "--format", fmt, "--out", str(out)]) == 0
+        return out.read_text()
+
+    unsorted = written("64,16,128,32,16")
+    assert unsorted == written("16,32,64,128")
+    if fmt == "json":
+        payload = json.loads(unsorted)
+        assert payload["n_grid"] == [16, 32, 64, 128]
+        for row in payload["rows"]:
+            assert [n for n, _ in row["samples"]] == payload["n_grid"]
+    else:
+        assert "# n_grid=16,32,64,128\n" in unsorted
+
+
 def test_verify_smallest_instance(capsys):
     assert main(["verify", "--n", "3", "--m", "1", "--steps", "50"]) == 0
     assert "FAIL" not in capsys.readouterr().out
@@ -676,6 +695,53 @@ def test_optimal_time_report_names_its_version(tmp_path, capsys):
     assert report.pop("version") == sc.__version__
     assert list(report) == list(record)
     assert report["t_opt_exact"] == int(record["t_opt_exact"])
+
+
+_PAIR_KEYS = ["value_re", "value_im", "vector_re", "vector_im", "residual",
+              "numeric_deviation", "predicted_bound", "in_domain"]
+_AUDITED_PAIR_KEYS = _PAIR_KEYS + ["closed_form_deviation", "component_deviations",
+                                   "sign_swapped"]
+
+
+def test_every_json_file_keeps_its_key_order(tmp_path, capsys):
+    def written(*argv):
+        out = tmp_path / f"{argv[0]}.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    spectrum = written("spectrum", "--n", "100", "--m", "10")
+    assert list(spectrum) == ["version", "alpha", "spectrum", "closed_form_audit"]
+    assert list(spectrum["spectrum"]) == [
+        "n", "m", "cos_theta_1", "cos_theta_2", "theta_1", "theta_2", "alpha_1_sq",
+        "alpha_2_sq", "beta_sq", "eigenpairs", "residuals", "formula_flags",
+    ]
+    assert len(spectrum["spectrum"]["eigenpairs"]) == 5
+    for pair in spectrum["spectrum"]["eigenpairs"]:
+        assert list(pair) == _AUDITED_PAIR_KEYS
+    assert list(spectrum["closed_form_audit"]) == [
+        "n", "m", "beta_sq_exact", "beta_sq_expansion", "beta_sq_relative_gap",
+        "amplitude_deviation", "corrected_amplitude_deviation", "parity_term_deviation",
+        "flagged",
+    ]
+
+    verify = written("verify", "--n", "10", "--m", "3", "--steps", "20")
+    assert list(verify) == ["version", "leaf_phase", "inject_leaf_phase_flip", "n", "m",
+                            "steps", "seed", "passed", "checks"]
+    assert len(verify["checks"]) == len(sc.verify.TOLERANCES)
+    for check in verify["checks"]:
+        assert list(check) == ["name", "passed", "max_deviation", "tolerance", "detail"]
+
+    optimal = written("optimal-time", "--n", "1000", "--alpha", "0.5")
+    assert list(optimal) == ["version", "n", "m", "alpha", "t_opt_exact", "t_opt_branch",
+                             "p_at_t_opt"]
+
+    phase = written("phase-diagram", "--alphas", "0,1", "--n-grid", "16,32,64,128",
+                    "--format", "json")
+    assert list(phase) == ["version", "n_grid", "rows"]
+    assert len(phase["rows"]) == 2
+    for row in phase["rows"]:
+        assert list(row) == ["alpha", "fitted_exponent", "theory_exponent", "fit_residual",
+                             "samples"]
 
 
 #: A representative argv of each command, with every option it takes.
