@@ -92,6 +92,7 @@ def _atomic_write(path: str, write) -> None:
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # as open(path, "w") makes it; mkstemp's is 0600
         os.replace(tmp, path)
+        tmp = None  # renamed: nothing left to clean up
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
@@ -227,9 +228,9 @@ def _parse_grid(text: str, kind) -> list:
 
 
 def _cmd_phase_diagram(args: argparse.Namespace) -> int:
-    alphas = _parse_grid(args.alphas, float)
+    alphas = list(dict.fromkeys(_parse_grid(args.alphas, float)))  # each once, as given
     n_grid = sorted(set(_parse_grid(args.n_grid, int)))  # the sizes every fit samples
-    if len(set(alphas)) < 2:
+    if len(alphas) < 2:
         raise ConfigError("phase diagram needs at least 2 alpha values")
     if len(n_grid) < 4:
         raise ConfigError("phase diagram needs at least 4 clique sizes")
@@ -378,23 +379,25 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  Every command is registered, so the help,
-    the usage line and the invalid-choice errors are always the same; the
-    options and handler are added for ``command`` only, or for every command
-    when it is None."""
+    """The command-line parser: every command when ``command`` is None, which
+    serves the top-level help and the invalid-choice errors, else ``command``
+    alone.  The usage line names every command either way, so the one
+    top-level text a named command can print is the same."""
     parser = argparse.ArgumentParser(
         prog="starclique",
         description="Quantum-walk search for the glue vertex of a clique "
         "with a pendant star.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_options, handler) in _COMMANDS.items():
-        built = command is None or name == command
-        subparser = sub.add_parser(name, help=help_line, add_help=built)
-        if built:
-            add_options(subparser)
-            subparser.set_defaults(func=handler)
+    # argparse prints the choices as this metavar; None keeps the wording of
+    # "the following arguments are required: command"
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_line, add_options, handler = _COMMANDS[name]
+        subparser = sub.add_parser(name, help=help_line)
+        add_options(subparser)
+        subparser.set_defaults(func=handler)
     return parser
 
 

@@ -606,6 +606,27 @@ def test_phase_diagram_names_the_grid_its_fits_sample(tmp_path, capsys, fmt):
         assert "# n_grid=16,32,64,128\n" in unsorted
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_phase_diagram_fits_each_alpha_once(tmp_path, capsys, fmt):
+    def written(alphas):
+        out = tmp_path / f"{alphas}.{fmt}"
+        assert main(["phase-diagram", "--alphas", alphas, "--n-grid", "16,32,64,128",
+                     "--format", fmt, "--out", str(out)]) == 0
+        return out.read_text()
+
+    repeated = written("0,0,1,0")
+    assert repeated == written("0,1")
+    if fmt == "json":
+        assert [row["alpha"] for row in json.loads(repeated)["rows"]] == [0.0, 1.0]
+        # first seen, first written: the grid is not sorted
+        assert [row["alpha"] for row in json.loads(written("1,0"))["rows"]] == [1.0, 0.0]
+    else:
+        rows = [line for line in repeated.splitlines() if line[0].isdigit()]
+        assert [row.split(",")[0] for row in rows] == ["0", "1"]
+        rows = [line for line in written("1,0").splitlines() if line[0].isdigit()]
+        assert [row.split(",")[0] for row in rows] == ["1", "0"]
+
+
 def test_verify_smallest_instance(capsys):
     assert main(["verify", "--n", "3", "--m", "1", "--steps", "50"]) == 0
     assert "FAIL" not in capsys.readouterr().out
@@ -766,16 +787,34 @@ def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.Argume
 @pytest.mark.parametrize("command", list(_COMMAND_ARGV))
 def test_one_command_parser_reads_as_the_full_parser(command):
     full, one = build_parser(), build_parser(command)
-    assert one.format_help() == full.format_help()
+    # the usage line is the one top-level text main prints once a command is named
     assert one.format_usage() == full.format_usage()
     assert _subparser(one, command).format_help() == _subparser(full, command).format_help()
     assert _subparser(one, command).format_usage() == _subparser(full, command).format_usage()
     argv = _COMMAND_ARGV[command]
     assert one.parse_args(argv) == full.parse_args(argv)
     assert one.parse_args(argv[:1]) == full.parse_args(argv[:1])  # every default
-    # the other commands are registered by name only
-    for other in set(_COMMAND_ARGV) - {command}:
-        assert not _subparser(one, other)._actions
+    # only the named command is registered
+    action = next(a for a in one._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(action.choices) == [command]
+
+
+@pytest.mark.parametrize(
+    "argv", [[command, "--help"] for command in _COMMAND_ARGV] + [["--help"]], ids=" ".join
+)
+def test_main_builds_only_the_parsers_it_reads(argv, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    with pytest.raises(SystemExit):
+        main(argv)
+    # a named command builds the top parser and its own; --help builds all six
+    assert len(built) == (6 if argv == ["--help"] else 2)
 
 
 def _outcome(parse, argv, capsys):
@@ -798,7 +837,22 @@ def _outcome(parse, argv, capsys):
         ["simulate", "--n", "57", "--alpha", "0.5", "--steps", "x"],
         ["verify", "--n", "30", "--m", "5", "extra"],
         ["optimal-time", "--n", "1000", "--alpha", "0.5", "--version"],
-    ] + [[command, "--help"] for command in _COMMAND_ARGV],
+    ]
+    + [[command, "--help"] for command in _COMMAND_ARGV]
+    # an unknown option, a bad value and a missing value for every command
+    + [_COMMAND_ARGV[command] + ["--bogus"] for command in _COMMAND_ARGV]
+    + [
+        ["simulate", "--n", "57", "--alpha", "0.5", "--mode", "exact"],
+        ["spectrum", "--n", "100", "--m", "ten"],
+        ["optimal-time", "--n", "1e3", "--alpha", "0.5"],
+        ["phase-diagram", "--format", "xml"],
+        ["verify", "--n", "30", "--m", "5", "--leaf-phase", "flipped"],
+        ["simulate", "--n", "57", "--alpha", "0.5", "--steps"],
+        ["spectrum", "--n", "100", "--out"],
+        ["optimal-time", "--n"],
+        ["phase-diagram", "--alphas"],
+        ["verify", "--n", "30", "--m", "5", "--seed"],
+    ],
     ids=lambda argv: " ".join(argv) or "empty",
 )
 def test_main_reads_argv_as_the_full_parser(argv, capsys):
