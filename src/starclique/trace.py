@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, filterfalse
 
 import numpy as np
 
@@ -29,9 +29,11 @@ COLUMNS = (
 
 _P_SLACK = 1e-9  # tolerated floating-point overshoot outside [0, 1]
 
-_BLOCK = 8192  # CSV rows formatted or parsed per call
+_BLOCK = 8192  # CSV rows formatted per call
 # "%.17g" spells a float as format(x, ".17g") does, -0, nan and inf included
 _CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+# one parsed CSV row; numpy rounds each float correctly, so a read is bit exact
+_CSV_DTYPE = np.dtype([("t", np.int64)] + [(name, np.float64) for name in COLUMNS[1:]])
 # a column's items in json.dump(..., indent=1) layout, by the C encoder
 _JSON_ITEMS = json.JSONEncoder(separators=(",\n   ", ": "))
 
@@ -75,6 +77,33 @@ def trace_metadata(
     }
 
 
+def _metadata_problem(key: str, value: str) -> str:
+    """Why the line ``# key=value`` would not read back as ``key`` and
+    ``value`` (the reader strips the line, then the key), or ""."""
+    if "\n" in key + value or "\r" in key + value:
+        return "a line break"
+    if "=" in key:
+        return "'=' in the key"
+    if key != key.strip():
+        return "whitespace around the key"
+    if value != value.rstrip():
+        return "trailing whitespace in the value"
+    return ""
+
+
+def _field_count_problem(stream: io.TextIOBase, start: int, number: int) -> str:
+    """The field-count error of the first row, from offset ``start`` (the
+    end of line ``number``) on, that loadtxt splits into other than six
+    fields, or "" when every row has six.  Text from a '#' on is a comment,
+    and a line that holds only a comment or whitespace is no row."""
+    stream.seek(start)
+    for number, line in enumerate(stream, number + 1):
+        row = line.partition("#")[0]
+        if row and not line.isspace() and row.count(",") != 5:
+            return f"line {number} has {row.count(',') + 1} fields, expected 6"
+    return ""
+
+
 def hub_probability(psi_clique_in, psi_star_in):
     """|psi_CLIQUE_IN|^2 + |psi_STAR_IN|^2, the probability of measuring the
     hub, from scalars or arrays of the two hub-bound amplitudes."""
@@ -93,7 +122,13 @@ class ProbabilityTrace:
     """Hub probability trace with its two component amplitudes.
 
     ``metadata`` is an ordered mapping of string keys to string values; it
-    travels verbatim through CSV (`# key=value` header lines) and JSON.
+    travels verbatim through JSON and through CSV, where it is the block of
+    `# key=value` lines before the column header.  ``to_csv`` refuses, before
+    writing anything, a key holding '=', a line break or surrounding
+    whitespace and a value holding a line break or trailing whitespace,
+    since each would read back changed.  ``from_csv`` takes metadata from
+    that header block only: after the column header, text from a '#' on is a
+    comment, and numpy's ``loadtxt`` parses the rows in one call.
     """
 
     times: np.ndarray             # int64, shape (T,)
@@ -139,6 +174,9 @@ class ProbabilityTrace:
 
     def to_csv(self, stream: io.TextIOBase) -> None:
         for key, value in self.metadata.items():
+            if problem := _metadata_problem(key, value):
+                raise ValueError(f"metadata key {key!r} cannot be written to CSV: {problem}")
+        for key, value in self.metadata.items():
             stream.write(f"# {key}={value}\n")
         stream.write(",".join(COLUMNS) + "\n")
         cols = self._columns()
@@ -149,42 +187,42 @@ class ProbabilityTrace:
     @classmethod
     def from_csv(cls, stream: io.TextIOBase) -> "ProbabilityTrace":
         metadata: dict[str, str] = {}
-        header: list[str] | None = None
-        times = [np.zeros(0, np.int64)]  # one array per block of lines
-        values = [np.zeros((0, 5))]  # the five float columns, row-major
-        first = 1  # line number of the block's first line
-        while lines := list(islice(stream, _BLOCK)):
-            rows: list[str] = []
-            for number, line in enumerate(lines, first):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, value = line[1:].strip().partition("=")
-                    metadata[key.strip()] = value
-                    continue
-                if header is None:
-                    header = line.split(",")
-                    if tuple(header) != COLUMNS:
-                        raise ValueError(f"unexpected columns {header}")
-                    continue
-                if line.count(",") != 5:
-                    raise ValueError(f"line {number} has {line.count(',') + 1} fields, expected 6")
-                rows.append(line)
-            first += len(lines)
-            if rows:
-                fields = ",".join(rows).split(",")
-                times.append(np.fromiter(map(int, fields[0::6]), np.int64, len(rows)))
-                del fields[0::6]
-                values.append(np.fromiter(map(float, fields), np.float64).reshape(-1, 5))
-        if header is None:
+        number = 0  # lines read so far
+        while line := stream.readline():
+            number += 1
+            line = line.strip()
+            if line.startswith("#"):
+                key, _, value = line[1:].strip().partition("=")
+                metadata[key.strip()] = value
+            elif line:
+                if tuple(header := line.split(",")) != COLUMNS:
+                    raise ValueError(f"unexpected columns {header}")
+                break
+        else:
             raise ValueError("missing column header")
-        p, re_clique, im_clique, re_star, im_star = np.concatenate(values).T
+        start = stream.tell() if stream.seekable() else None
+        rows = np.zeros(0, _CSV_DTYPE)
+        # loadtxt starts at the first row, so a trace without rows never
+        # reaches its "input contained no data" warning
+        for first in iter(stream.readline, ""):
+            if first.isspace() or first.startswith("#"):
+                continue
+            try:
+                rows = np.loadtxt(
+                    chain([first], filterfalse(str.isspace, stream)),
+                    _CSV_DTYPE, delimiter=",", comments="#", ndmin=1,
+                )
+            except ValueError:
+                problem = start is not None and _field_count_problem(stream, start, number)
+                if problem:
+                    raise ValueError(problem) from None
+                raise
+            break
         return cls(
-            times=np.concatenate(times),
-            p_hub=p.copy(),  # contiguous, not a view that keeps all five columns
-            psi_clique_in=_complex(re_clique, im_clique),
-            psi_star_in=_complex(re_star, im_star),
+            times=rows["t"].copy(),  # contiguous, not views that keep every field
+            p_hub=rows["p_vstar"].copy(),
+            psi_clique_in=_complex(rows["re_psi_clique_in"], rows["im_psi_clique_in"]),
+            psi_star_in=_complex(rows["re_psi_star_in"], rows["im_psi_star_in"]),
             metadata=metadata,
         )
 

@@ -1,4 +1,6 @@
 import io
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +130,99 @@ def test_rejects_row_without_six_fields(row, fields, before):
     line = 3 + before
     with pytest.raises(ValueError, match=f"^line {line} has {fields} fields, expected 6$"):
         ProbabilityTrace.from_csv(io.StringIO(text))
+
+
+_HEADER = "# n=3\n" + ",".join(COLUMNS) + "\n"
+_GOOD_ROW = "2,0.5,0,0,0,0\n"
+
+
+def test_csv_reader_counts_comment_and_blank_lines_in_a_field_count_error():
+    # line 1 metadata, 2 header, 3 row, 4-7 comment and blank lines, 8 row, 9 bad
+    text = f"{_HEADER}{_GOOD_ROW}# a comment\n   \n\n\t\n{_GOOD_ROW}3,0.5,0\n{_GOOD_ROW}"
+    with pytest.raises(ValueError, match="^line 9 has 3 fields, expected 6$"):
+        ProbabilityTrace.from_csv(io.StringIO(text))
+
+
+class _Unseekable(io.StringIO):
+    def seekable(self) -> bool:
+        return False
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["2,0.5,abc,0,0,0", "2,1_0,0,0,0,0", "2.0,0.5,0,0,0,0", "9223372036854775808,0.5,0,0,0,0",
+     "2,0.5,,0,0,0"],
+    ids=["word", "underscore", "fractional-time", "time-beyond-int64", "empty-field"],
+)
+def test_csv_reader_rejects_a_field_numpy_cannot_parse(row):
+    # six fields, so the error is numpy's own; float() took 1_0 as 10.0
+    for stream in (io.StringIO, _Unseekable):
+        with pytest.raises(ValueError, match="could not convert"):
+            ProbabilityTrace.from_csv(stream(f"{_HEADER}{_GOOD_ROW}{row}\n{_GOOD_ROW}"))
+
+
+def test_csv_reader_on_an_unseekable_stream_still_refuses_a_short_row():
+    with pytest.raises(ValueError):
+        ProbabilityTrace.from_csv(_Unseekable(f"{_HEADER}{_GOOD_ROW}3,0.5\n"))
+
+
+def test_csv_metadata_is_the_block_before_the_column_header():
+    text = f"# m=2\n\n{_HEADER}# n=4\n# extra=1\n{_GOOD_ROW}# m=5\n{_GOOD_ROW}"
+    parsed = ProbabilityTrace.from_csv(io.StringIO(text))
+    assert parsed.metadata == {"m": "2", "n": "3"}
+    assert parsed.times.tolist() == [2, 2]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "tail", ["", "\n", "# a comment\n   \n", "\r\n# n=4"],
+    ids=["nothing", "blank-line", "comment-and-spaces", "crlf-and-comment"],
+)
+def test_csv_reader_reads_zero_rows_without_a_warning(tail):
+    parsed = ProbabilityTrace.from_csv(io.StringIO(_HEADER + tail, newline=""))
+    assert len(parsed) == 0 and parsed.metadata == {"n": "3"}
+    dtypes = [parsed.times.dtype, parsed.p_hub.dtype, parsed.psi_clique_in.dtype,
+              parsed.psi_star_in.dtype]
+    assert dtypes == [np.int64, np.float64, np.complex128, np.complex128]
+
+
+def test_csv_read_peaks_below_two_and_a_half_times_its_arrays(tmp_path):
+    # a file, not a StringIO, whose first read would lay out all its text at once
+    trace = _random_trace(50_000)
+    path = tmp_path / "trace.csv"
+    with open(path, "w") as stream:
+        trace.to_csv(stream)
+    with open(path) as stream:
+        tracemalloc.start()
+        try:
+            parsed = ProbabilityTrace.from_csv(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    _assert_same_trace(parsed, trace)
+    arrays = sum(getattr(parsed, name).nbytes for name in ("times", "p_hub", "psi_clique_in", "psi_star_in"))
+    assert peak < 2.5 * arrays, (peak, arrays)
+
+
+@pytest.mark.parametrize(
+    "metadata",
+    [{"a=b": "c"}, {"a": "x "}, {" a": "x"}, {"a": "x\ny"}, {"a\rb": "c"}],
+    ids=["equals-in-key", "value-trailing-space", "key-leading-space", "value-line-break",
+         "key-carriage-return"],
+)
+def test_to_csv_refuses_metadata_that_reads_back_changed(metadata):
+    # written unchecked, the first four read back as {'a': 'b=c'}, {'a': 'x'},
+    # {'a': 'x'} and an "unexpected columns" error; nothing may be written first
+    trace = _random_trace(3)
+    trace = ProbabilityTrace(trace.times, trace.p_hub, trace.psi_clique_in, trace.psi_star_in,
+                             metadata={"n": "3", **metadata})
+    (key,) = metadata
+    buffer = io.StringIO()
+    with pytest.raises(ValueError, match=f"^metadata key {re.escape(repr(key))} cannot be written"):
+        trace.to_csv(buffer)
+    assert buffer.getvalue() == ""
+    trace.to_json(buffer)  # JSON carries any string
+    _assert_same_trace(ProbabilityTrace.from_json(io.StringIO(buffer.getvalue())), trace)
 
 
 def test_csv_round_trip_is_exact():
