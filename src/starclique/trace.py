@@ -4,6 +4,11 @@ A trace row holds the step index, the probability of measuring the hub, and
 the two collapsed amplitudes on arcs arriving at the hub (from the clique
 and from the star).  Serialization keeps 17 significant digits so that a
 parse of an emitted file reproduces the in-memory arrays bit for bit.
+
+CSV rows are the bytes of ``_CSV_ROW``, Python's "%.17g" for each float.
+Blocks of _CROSSOVER rows or more are spelled by the numpy kernel of
+``csv_rows`` instead, which writes the same bytes; it hands any row holding
+a value it cannot certify back to the template.
 """
 
 from __future__ import annotations
@@ -29,8 +34,16 @@ COLUMNS = (
 
 _P_SLACK = 1e-9  # tolerated floating-point overshoot outside [0, 1]
 
-_BLOCK = 8192  # CSV rows formatted per call
-# "%.17g" spells a float as format(x, ".17g") does, -0, nan and inf included
+# CSV rows per stream.write: of the blocks of 1024 to 8192 rows timed, the
+# kernel wrote fastest here, and its working arrays (2.6 MB) stay below the
+# 3 MB that the template took for the 8192-row blocks it used to write
+_BLOCK = 4096
+# Blocks shorter than this go through _CSV_ROW: the kernel's fixed cost, 0.2 to
+# 0.3 ms of numpy calls, beats the template's 2 us a row only from here on.
+# So does any trace this short, which never imports (or compiles) csv_rows.
+_CROSSOVER = 125
+# "%.17g" spells a float as format(x, ".17g") does, -0, nan and inf included;
+# the one reference spelling, which the kernel falls back to
 _CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 # one parsed CSV row; numpy rounds each float correctly, so a read is bit exact
 _CSV_DTYPE = np.dtype([("t", np.int64)] + [(name, np.float64) for name in COLUMNS[1:]])
@@ -91,16 +104,28 @@ def _metadata_problem(key: str, value: str) -> str:
     return ""
 
 
-def _field_count_problem(stream: io.TextIOBase, start: int, number: int) -> str:
-    """The field-count error of the first row, from offset ``start`` (the
-    end of line ``number``) on, that loadtxt splits into other than six
-    fields, or "" when every row has six.  Text from a '#' on is a comment,
-    and a line that holds only a comment or whitespace is no row."""
+def _row_problem(stream: io.TextIOBase, start: int, number: int, refusal: str) -> str:
+    """loadtxt's ``refusal`` of the rows from offset ``start`` (the end of
+    line ``number``) on, with the file line it concerns, or "".
+
+    The first row split into other than six fields is named by its line.
+    Otherwise, when the refusal is a field numpy could not convert ("...
+    at row R, column C.", R counting rows from 0), row R is.  Text from a
+    '#' on is a comment, and a line that holds only a comment or whitespace
+    is no row."""
+    what, _, place = refusal.rpartition(" at row ")
+    row, _, column = place.removesuffix(".").partition(", column ")
+    bad = int(row) if what and row.isdigit() and column.isdigit() else -1
     stream.seek(start)
+    rows = 0
     for number, line in enumerate(stream, number + 1):
-        row = line.partition("#")[0]
-        if row and not line.isspace() and row.count(",") != 5:
-            return f"line {number} has {row.count(',') + 1} fields, expected 6"
+        text = line.partition("#")[0]
+        if text and not line.isspace():
+            if text.count(",") != 5:
+                return f"line {number} has {text.count(',') + 1} fields, expected 6"
+            if rows == bad:
+                return f"line {number}, column {column}: {what}"
+            rows += 1
     return ""
 
 
@@ -167,8 +192,9 @@ class ProbabilityTrace:
     def _columns(self) -> tuple[np.ndarray, ...]:
         """The six serialized columns, in ``COLUMNS`` order."""
         clique, star = self.psi_clique_in, self.psi_star_in
-        return (np.asarray(self.times, np.int64), np.asarray(self.p_hub, np.float64),
-                clique.real, clique.imag, star.real, star.imag)
+        return (np.asarray(self.times, np.int64),
+                *(np.asarray(col, np.float64) for col in
+                  (self.p_hub, clique.real, clique.imag, star.real, star.imag)))
 
     # ---- CSV ----
 
@@ -181,8 +207,12 @@ class ProbabilityTrace:
         stream.write(",".join(COLUMNS) + "\n")
         cols = self._columns()
         for start in range(0, len(self), _BLOCK):
-            block = [col[start:start + _BLOCK].tolist() for col in cols]
-            stream.write("".join(map(_CSV_ROW.__mod__, zip(*block))))
+            block = [col[start:start + _BLOCK] for col in cols]
+            if len(block[0]) < _CROSSOVER:
+                stream.write("".join(map(_CSV_ROW.__mod__, zip(*(col.tolist() for col in block)))))
+            else:
+                from .csv_rows import csv_rows  # imported on first use, see _CROSSOVER
+                stream.write(csv_rows(block))
 
     @classmethod
     def from_csv(cls, stream: io.TextIOBase) -> "ProbabilityTrace":
@@ -212,8 +242,8 @@ class ProbabilityTrace:
                     chain([first], filterfalse(str.isspace, stream)),
                     _CSV_DTYPE, delimiter=",", comments="#", ndmin=1,
                 )
-            except ValueError:
-                problem = start is not None and _field_count_problem(stream, start, number)
+            except ValueError as refusal:
+                problem = start is not None and _row_problem(stream, start, number, str(refusal))
                 if problem:
                     raise ValueError(problem) from None
                 raise

@@ -1,6 +1,11 @@
 import io
+import math
 import re
+import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,14 @@ import trace_reference
 
 import starclique as sc
 from starclique.modes import MODES
-from starclique.trace import _BLOCK, COLUMNS, ProbabilityTrace, trace_metadata
+from starclique.csv_rows import _float_fields, _tables, csv_rows
+from starclique.trace import _BLOCK, _CROSSOVER, COLUMNS, ProbabilityTrace, trace_metadata
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property test below needs the test extra
+    given = None
 
 
 def _awkward_trace() -> ProbabilityTrace:
@@ -92,6 +104,186 @@ def test_writers_match_row_at_a_time_reference(trace):
         assert got.getvalue() == want.getvalue()
 
 
+def _walk_trace(rows: int) -> ProbabilityTrace:
+    # a real walk: both imaginary columns are +0.0 throughout
+    return sc.hub_trace("collapsed", 1000, 31, rows - 1, sc.LeafPhase.REVERSAL)
+
+
+_EDGES = [0, 1, _CROSSOVER - 1, _CROSSOVER, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+          _BLOCK + _CROSSOVER - 1, _BLOCK + _CROSSOVER]
+
+
+@pytest.mark.parametrize("rows", _EDGES)
+@pytest.mark.parametrize("build", [_random_trace, _walk_trace], ids=["random", "walk"])
+def test_csv_writer_matches_reference_at_block_edges(rows, build):
+    # below _CROSSOVER rows a block goes through the "%" template, from it on
+    # through the numpy kernel; each block is written on its own
+    trace = build(rows) if rows else _random_trace(0)
+    got, want = io.StringIO(), io.StringIO()
+    trace.to_csv(got)
+    trace_reference.to_csv(trace, want)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_the_kernel_module_loads_only_for_a_long_block():
+    # a fresh interpreter: importing the CLI and writing a trace shorter than
+    # _CROSSOVER never compiles or imports csv_rows; a longer one does
+    code = (
+        f"import io, sys; sys.path.insert(0, {str(Path(sc.__file__).parents[1])!r}); "
+        "import starclique as sc, starclique.cli; "
+        "write = lambda rows: sc.hub_trace('closed', 100, 10, rows - 1, "
+        "sc.LeafPhase.REVERSAL).to_csv(io.StringIO()); "
+        f"write({_CROSSOVER - 1}); print('starclique.csv_rows' in sys.modules); "
+        f"write({_CROSSOVER}); print('starclique.csv_rows' in sys.modules)"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True"]
+
+
+def _kernel_text(values, times=None) -> str:
+    """What the kernel writes for a block of at least _CROSSOVER rows that
+    holds every one of ``values`` in every float column, checked against
+    the reference spelling."""
+    values = np.asarray(values, np.float64)
+    rows = max(len(values), _CROSSOVER)
+    floats = [np.resize(np.roll(values, 7 * j), rows) for j in range(5)]
+    if times is None:
+        times = np.arange(rows)
+    block = [np.resize(np.asarray(times, np.int64), rows), *floats]
+    want = "".join(trace_reference.csv_row(*row) for row in zip(*block))
+    got = csv_rows(block)
+    assert got == want
+    return got
+
+
+def test_csv_kernel_hands_17_digit_ties_to_the_template():
+    # k / 4 for odd k in [4e15, 9e15) is exact, and ten times it ends in .5:
+    # "%.17g" rounds such a tie to the even digit
+    rng = np.random.default_rng(31)
+    k = 2 * rng.integers(2 * 10**15, 45 * 10**14, 2000) + 1
+    ties = np.concatenate([k / 4, -k / 4, [1000000000000000.25, 1000000000000000.75]])
+    text = _kernel_text(ties)
+    assert ",1000000000000000.2," in text and ",1000000000000000.8," in text
+
+
+def _near_ties(count: int) -> list[float]:
+    """Doubles x below 1e-3 whose x * 10**(16 - e), e = floor(log10(x)),
+    lies within 2**-48 of a half-integer but not on it.
+
+    x = m / 2**(K + p) with p = 16 - e; the fraction of x * 10**p is then
+    (m * 5**p mod 2**K) / 2**K, so m is solved for a fraction 1/2 + d / 2**K.
+    """
+    found = []
+    for p in range(20, 60):
+        for bits in range(round(2.32 * p) - 2, round(2.32 * p) + 1):
+            inverse = pow(5**p, -1, 2**bits)
+            for d in (d for step in range(1, 2**13) for d in (step, -step)):
+                m = (2 ** (bits - 1) + d) * inverse % 2**bits
+                if not 2**52 <= m < 2**53:
+                    continue
+                whole, rest = divmod(m * 10**p, 2 ** (bits + p))
+                off = abs(2 * rest - 2 ** (bits + p)) / 2 ** (bits + p + 1)
+                if 10**16 <= whole < 10**17 and 0 < off < 2**-48:
+                    found.append(math.ldexp(m, -(bits + p)))
+                    if len(found) == count:
+                        return found
+    return found
+
+
+def test_csv_kernel_hands_near_ties_to_the_template():
+    # within 2**-48 of a tie, the kernel's error bound of 2**-47 could round
+    # either way; certified blindly, some of these rows come out wrong
+    near = _near_ties(150)
+    assert len(near) == 150
+    _kernel_text(near + [-x for x in near])
+
+
+def _is_tie(x: float) -> bool:
+    """Whether |x| lies exactly halfway between two 17-digit decimals."""
+    exponent = int(("%.16e" % x).split("e")[1])
+    num, den = abs(x).as_integer_ratio()
+    if exponent <= 16:
+        num *= 10 ** (16 - exponent)
+    else:
+        den *= 10 ** (exponent - 16)
+    return (2 * num) % den == 0 and (2 * num // den) % 2 == 1
+
+
+def _neighbours(x: float, steps: int = 3) -> list[float]:
+    down, up, out = x, x, [x]
+    for _ in range(steps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [float(down), float(up)]
+    return out
+
+
+def test_csv_kernel_carries_a_rounding_into_the_next_power_of_ten():
+    # the doubles nearest 1e-243 or 1e-79 lie below them, yet round to
+    # 17 digits as 1 followed by zeros, one exponent up
+    values = []
+    for k in range(-300, 301):
+        values += _neighbours(float(f"1e{k}"))
+        values += [float(f"9.9999999999999999e{k - 1}"), float(f"9.99999999999999995e{k - 1}")]
+    values = np.array(values)
+    text = _kernel_text(np.concatenate([values, -values]))
+    assert ",1e-243," in text and ",1e-79," in text
+    for k in (243, 79):
+        num, den = float(f"1e-{k}").as_integer_ratio()
+        assert num * 10**k < den  # below 10**-k, exactly
+    # np.log10 misjudges the exponent next to a power of ten; the kernel
+    # corrects it rather than handing these to the template, all but the
+    # exact 17-digit ties (999999999999999.875 and the like) and one value
+    # that is a tie at log10's first guess of its exponent, 15
+    inside = values[(values >= 1e-280) & (values <= 1e280)]
+    ties = np.array([_is_tie(x) for x in inside.tolist()])
+    handed_over = inside[~_float_fields(inside, _tables())[1] & ~ties]
+    assert ties.any() and handed_over.tolist() == [999999999999999.75]
+
+
+@pytest.mark.parametrize("edge", [1e-5, 1e-4, 1e16, 1e17, 1e280, 1e-280],
+                         ids=["e-5", "e-4", "e16", "e17", "guard-high", "guard-low"])
+def test_csv_kernel_at_exponent_switches_and_its_guard(edge):
+    # %g switches between 0.000ddd, ddd.ddd and d.ddde+XX at these powers;
+    # beyond 1e280 either way, values go to the template
+    values = _neighbours(edge, 5) + _neighbours(edge * 1.5, 2) + _neighbours(edge * 9.99, 2)
+    _kernel_text(values + [-v for v in values])
+
+
+def test_csv_kernel_spells_subnormals_and_non_finite_values():
+    specials = [5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-310,
+                np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 0.25, -1.0]
+    text = _kernel_text(specials)
+    assert ",nan," in text and ",-inf," in text and ",-0," in text
+    assert ",4.9406564584124654e-324," in text
+
+
+def test_csv_kernel_writes_every_int64_time():
+    times = [-2**63, -2**63 + 1, -10**18, -1, 0, 1, 9999, 10000, 10**18, 2**63 - 1]
+    text = _kernel_text([0.5, -0.0], times)
+    assert text.startswith("-9223372036854775808,")
+    assert "\n9223372036854775807," in text
+
+
+if given is not None:
+
+    def _bits_to_float(bits: int) -> float:
+        return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(rows=st.lists(st.tuples(
+        st.integers(-2**63, 2**63 - 1),
+        *[st.one_of(st.integers(0, 2**64 - 1).map(_bits_to_float), st.floats())] * 5,
+    ), min_size=1, max_size=40))
+    def test_csv_kernel_spells_any_float64_bit_pattern(rows):
+        # each drawn row repeats to fill a kernel-sized block
+        times, *floats = zip(*rows)
+        block = [np.resize(np.array(col, dtype), _CROSSOVER)
+                 for col, dtype in zip([times, *floats], [np.int64] + [np.float64] * 5)]
+        want = "".join(trace_reference.csv_row(*row) for row in zip(*block))
+        assert csv_rows(block) == want
+
+
 @pytest.mark.parametrize("rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
 def test_round_trips_across_blocks_are_exact(rows):
     trace = _random_trace(rows)
@@ -149,16 +341,21 @@ class _Unseekable(io.StringIO):
 
 
 @pytest.mark.parametrize(
-    "row",
-    ["2,0.5,abc,0,0,0", "2,1_0,0,0,0,0", "2.0,0.5,0,0,0,0", "9223372036854775808,0.5,0,0,0,0",
-     "2,0.5,,0,0,0"],
+    "row, column",
+    [("2,0.5,abc,0,0,0", 3), ("2,1_0,0,0,0,0", 2), ("2.0,0.5,0,0,0,0", 1),
+     ("9223372036854775808,0.5,0,0,0,0", 1), ("2,0.5,,0,0,0", 3)],
     ids=["word", "underscore", "fractional-time", "time-beyond-int64", "empty-field"],
 )
-def test_csv_reader_rejects_a_field_numpy_cannot_parse(row):
-    # six fields, so the error is numpy's own; float() took 1_0 as 10.0
-    for stream in (io.StringIO, _Unseekable):
+def test_csv_reader_rejects_a_field_numpy_cannot_parse(row, column):
+    # six fields, so the error is numpy's own; float() took 1_0 as 10.0.
+    # numpy counts its rows from the first data row, skipping comment and
+    # blank lines; a seekable stream is re-read to name the file line
+    for between, line in (("", 4), ("# a comment\n\n  \n", 7)):
+        text = f"{_HEADER}{_GOOD_ROW}{between}{row}\n{_GOOD_ROW}"
+        with pytest.raises(ValueError, match=f"^line {line}, column {column}: could not convert "):
+            ProbabilityTrace.from_csv(io.StringIO(text))
         with pytest.raises(ValueError, match="could not convert"):
-            ProbabilityTrace.from_csv(stream(f"{_HEADER}{_GOOD_ROW}{row}\n{_GOOD_ROW}"))
+            ProbabilityTrace.from_csv(_Unseekable(text))
 
 
 def test_csv_reader_on_an_unseekable_stream_still_refuses_a_short_row():

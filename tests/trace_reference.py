@@ -15,20 +15,24 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def csv_row(t, *values) -> str:
+    """One CSV row: the time in decimal, then each value in 17 digits."""
+    return ",".join([str(int(t)), *map(_fmt, values)]) + "\n"
+
+
 def to_csv(trace, stream) -> None:
     for key, value in trace.metadata.items():
         stream.write(f"# {key}={value}\n")
     stream.write(",".join(COLUMNS) + "\n")
     for i in range(len(trace)):
-        row = (
-            str(int(trace.times[i])),
-            _fmt(trace.p_hub[i]),
-            _fmt(trace.psi_clique_in[i].real),
-            _fmt(trace.psi_clique_in[i].imag),
-            _fmt(trace.psi_star_in[i].real),
-            _fmt(trace.psi_star_in[i].imag),
-        )
-        stream.write(",".join(row) + "\n")
+        stream.write(csv_row(
+            trace.times[i],
+            trace.p_hub[i],
+            trace.psi_clique_in[i].real,
+            trace.psi_clique_in[i].imag,
+            trace.psi_star_in[i].real,
+            trace.psi_star_in[i].imag,
+        ))
 
 
 def to_json(trace, stream) -> None:
