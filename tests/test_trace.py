@@ -284,7 +284,9 @@ if given is not None:
         assert csv_rows(block) == want
 
 
-@pytest.mark.parametrize("rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+# the edges of one and of two write blocks, and a trace of four blocks and a bit
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                  2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 4 * _BLOCK + 3])
 def test_round_trips_across_blocks_are_exact(rows):
     trace = _random_trace(rows)
     for write, parse in (
@@ -312,7 +314,7 @@ def test_csv_reader_skips_comments_and_blank_lines_and_takes_crlf():
     _assert_same_trace(parsed, trace)
 
 
-@pytest.mark.parametrize("before", [1, _BLOCK + 10])  # good rows before the bad one
+@pytest.mark.parametrize("before", [1, 8202])  # good rows before the bad one
 @pytest.mark.parametrize(
     "row, fields", [("3,0.5,0,0,0", 5), ("3,0.5,0,0,0,0,0", 7), ("3", 1)]
 )
