@@ -1,10 +1,12 @@
 import io
+import json
 import math
 import re
 import struct
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,10 @@ import trace_reference
 
 import starclique as sc
 from starclique.modes import MODES
-from starclique.csv_rows import _float_fields, _tables, csv_rows
-from starclique.trace import _BLOCK, _CROSSOVER, COLUMNS, ProbabilityTrace, trace_metadata
+from starclique.csv_rows import _float_fields, _tables, csv_rows, json_items
+from starclique.trace import (
+    _BLOCK, _CROSSOVER, _JSON_CROSSOVER, COLUMNS, ProbabilityTrace, trace_metadata,
+)
 
 try:
     from hypothesis import given, settings
@@ -126,19 +130,23 @@ def test_csv_writer_matches_reference_at_block_edges(rows, build):
 
 
 def test_the_kernel_module_loads_only_for_a_long_block():
-    # a fresh interpreter: importing the CLI and writing a trace shorter than
-    # _CROSSOVER never compiles or imports csv_rows; a longer one does
-    code = (
-        f"import io, sys; sys.path.insert(0, {str(Path(sc.__file__).parents[1])!r}); "
-        "import starclique as sc, starclique.cli; "
-        "write = lambda rows: sc.hub_trace('closed', 100, 10, rows - 1, "
-        "sc.LeafPhase.REVERSAL).to_csv(io.StringIO()); "
-        f"write({_CROSSOVER - 1}); print('starclique.csv_rows' in sys.modules); "
-        f"write({_CROSSOVER}); print('starclique.csv_rows' in sys.modules)"
-    )
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False", "True"]
+    # a fresh interpreter per writer: importing the CLI and writing a trace
+    # shorter than the writer's crossover never compiles or imports csv_rows;
+    # a longer one does
+    for writer, crossover in (("to_csv", _CROSSOVER), ("to_json", _JSON_CROSSOVER)):
+        code = (
+            f"import io, sys; sys.path.insert(0, {str(Path(sc.__file__).parents[1])!r}); "
+            "import starclique as sc, starclique.cli; "
+            "print('starclique.csv_rows' in sys.modules); "
+            "write = lambda rows: sc.hub_trace('closed', 100, 10, rows - 1, "
+            f"sc.LeafPhase.REVERSAL).{writer}(io.StringIO()); "
+            f"write({crossover - 1}); print('starclique.csv_rows' in sys.modules); "
+            f"write({crossover}); print('starclique.csv_rows' in sys.modules)"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["False", "False", "True"], writer
 
 
 def _kernel_text(values, times=None) -> str:
@@ -282,6 +290,247 @@ if given is not None:
                  for col, dtype in zip([times, *floats], [np.int64] + [np.float64] * 5)]
         want = "".join(trace_reference.csv_row(*row) for row in zip(*block))
         assert csv_rows(block) == want
+
+
+def _json_kernel_text(values) -> str:
+    """What the JSON kernel writes for a column of at least _JSON_CROSSOVER
+    values that holds every one of ``values``, checked against ``repr`` (the
+    C encoder's spelling) value by value, and the whole trace through
+    ``to_json`` against ``trace_reference.to_json`` and read back bit-exact."""
+    values = np.asarray(values, np.float64)
+    col = np.resize(values, max(len(values), _JSON_CROSSOVER))
+    got = json_items(col)
+    assert got == "".join(",\n   " + json.dumps(x) for x in col.tolist())
+    assert all(json.dumps(x) == repr(x) for x in col.tolist() if math.isfinite(x))
+    trace = ProbabilityTrace(
+        times=np.arange(len(col), dtype=np.int64) - 3,
+        p_hub=np.full(len(col), 0.5),
+        psi_clique_in=_pair(col, np.roll(col, 7)),
+        psi_star_in=_pair(-col, np.zeros(len(col))),
+        metadata={"mode": "collapsed"},
+    )
+    text, want = io.StringIO(), io.StringIO()
+    trace.to_json(text)
+    trace_reference.to_json(trace, want)
+    assert text.getvalue() == want.getvalue()
+    _assert_reads_back(text.getvalue(), trace)
+    return got
+
+
+def _assert_reads_back(text: str, trace: ProbabilityTrace) -> None:
+    """``from_json`` reads ``text`` back as ``trace`` bit for bit, but for
+    NaN: JSON has one, so every NaN reads back as np.nan."""
+    def canonical(col):
+        col = np.array(col)
+        if col.dtype.kind == "c":
+            col.real[np.isnan(col.real)] = np.nan
+            col.imag[np.isnan(col.imag)] = np.nan
+        elif col.dtype.kind == "f":
+            col[np.isnan(col)] = np.nan
+        return col
+
+    parsed = ProbabilityTrace.from_json(io.StringIO(text))
+    for name in ("times", "p_hub", "psi_clique_in", "psi_star_in"):
+        got, want = getattr(parsed, name), canonical(getattr(trace, name))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert parsed.metadata == trace.metadata
+
+
+def _json_certain(values) -> np.ndarray:
+    return _float_fields(np.asarray(values, np.float64), _tables(), "json")[1]
+
+
+def _handed_to_encoder(x: float) -> bool:
+    """Whether the JSON kernel must hand ``x`` to the encoder: x a power of
+    two (the gap below it is half the one above), or its shortest digits
+    hang on an exact tie: x halfway between two 17-digit decimals, the
+    nearest 15- or 16-digit decimal exactly half an ulp away (round-half-
+    even decides whether it reads back as x), or x halfway between two
+    16-digit decimals that both lie within half an ulp."""
+    if _is_tie(x) or math.frexp(x)[0] in (0.5, -0.5):
+        return True
+    half, exact = Fraction(math.ulp(x)) / 2, abs(Fraction(x))
+    exponent = int(("%.16e" % x).split("e")[1])  # of the 17 digits
+    for k in (15, 16):
+        unit = Fraction(10) ** (exponent + 1 - k)
+        frac = exact / unit - math.floor(exact / unit)
+        if min(frac, 1 - frac) * unit == half or (frac == Fraction(1, 2) and unit / 2 < half):
+            return True
+    return False
+
+
+def test_json_kernel_spells_random_bit_patterns():
+    # every exponent, nan payloads among them; the kernel certifies every
+    # value in its guard but exact ties
+    rng = np.random.default_rng(32)
+    bits = rng.integers(0, 2**64, 5000, dtype=np.uint64).view(np.float64)
+    _json_kernel_text(bits)
+    guarded = np.abs(bits)
+    guarded = bits[(guarded >= 1e-280) & (guarded <= 1e280)]
+    assert len(guarded) > 2500
+    assert (~_json_certain(guarded)).tolist() == [_handed_to_encoder(x) for x in guarded.tolist()]
+
+
+def test_json_kernel_spells_walk_amplitudes_itself():
+    # the values a trace holds: every one certified, none handed back
+    trace = _walk_trace(3 * _JSON_CROSSOVER)
+    for col in (trace.p_hub, trace.psi_clique_in.real, trace.psi_star_in.real):
+        _json_kernel_text(col[1:])
+        assert _json_certain(col[1:]).all()
+
+
+def test_json_kernel_hands_powers_of_two_to_the_encoder():
+    # the gap below 2**k is half the one above, which the kernel does not model
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    _json_kernel_text(np.concatenate([powers, -powers]))
+    assert not _json_certain(powers).any()
+
+
+def test_json_kernel_writes_integral_floats_with_a_point_zero():
+    values = [1.0, 2.0, 3.0, 10.0, 123.0, 1e15, 999999999999999.0, 2.0**53 + 2,
+              1e16, 1.5e16, 2.0**53 * 3, 1e17, 12345678901234567e3]
+    text = _json_kernel_text(values + [-v for v in values])
+    for spelled in ("1.0", "3.0", "123.0", "1000000000000000.0", "9007199254740994.0",
+                    "1e+16", "1.5e+16", "-1e+17"):
+        assert f",\n   {spelled}," in text
+    assert _json_certain([v for v in values if v not in (1.0, 2.0)]).all()
+
+
+@pytest.mark.parametrize("edge", [1e-5, 1e-4, 1e15, 1e16, 1e280, 1e-280],
+                         ids=["e-5", "e-4", "e15", "e16", "guard-high", "guard-low"])
+def test_json_kernel_at_exponent_switches_and_its_guard(edge):
+    # repr writes 0.0001 but 1e-05, 999999999999999.9 but 1e+16; beyond 1e280
+    # either way, values go to the encoder
+    values = _neighbours(edge, 5) + _neighbours(edge * 1.5, 2) + _neighbours(edge * 9.99, 2)
+    _json_kernel_text(values + [-v for v in values])
+
+
+def test_json_kernel_spells_extremes_subnormals_and_non_finite_values():
+    specials = [5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                2.2250738585072009e-308, 2.2250738585072014e-308, 1e-310,
+                np.nan, np.inf, -np.inf, 0.0, -0.0, 0.1, -2.5]
+    text = _json_kernel_text(specials)
+    for spelled in ("5e-324", "1.7976931348623157e+308", "NaN", "-Infinity", "-0.0", "0.0"):
+        assert f",\n   {spelled}," in text
+
+
+def test_json_kernel_writes_a_column_of_positive_zeros_as_a_constant():
+    assert json_items(np.zeros(_JSON_CROSSOVER)) == ",\n   0.0" * _JSON_CROSSOVER
+    _json_kernel_text(np.zeros(_JSON_CROSSOVER))
+    _json_kernel_text(np.full(_JSON_CROSSOVER, -0.0))
+
+
+def _with_shortest_digits(count: int, k: int, rng) -> list[float]:
+    """Random doubles whose repr has exactly k significant digits."""
+    found = []
+    while len(found) < count:
+        x = float("%.*e" % (k - 1, rng.random() * 10.0 ** rng.integers(-30, 30)))
+        digits = repr(x).split("e")[0].replace("-", "").replace(".", "").strip("0")
+        if len(digits) == k and x != 0.0:
+            found.append(x)
+    return found
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 15, 16, 17])
+def test_json_kernel_finds_the_shortest_digits(k):
+    # and certifies every value but powers of two and exact ties
+    values = _with_shortest_digits(400, k, np.random.default_rng(k))
+    _json_kernel_text(values + [-v for v in values])
+    assert (~_json_certain(values)).tolist() == list(map(_handed_to_encoder, values))
+
+
+def test_json_kernel_carries_a_rounding_into_the_next_power_of_ten():
+    # the doubles next to 10**k, and those whose shortest digits are all 9s
+    values = []
+    for k in range(-300, 301):
+        values += _neighbours(float(f"1e{k}"))
+        values += [float(f"9.9999999999999999e{k - 1}"), float(f"9.999999999999999e{k - 1}")]
+    values = np.array(values)
+    text = _json_kernel_text(np.concatenate([values, -values]))
+    assert ",\n   1e-243," in text and ",\n   0.0001," in text
+    assert ",\n   1e+16," in text and ",\n   1e+280," in text
+    # the kernel itself spells all of these in its guard but 1.0 and exact ties
+    inside = values[(values >= 1e-280) & (values <= 1e280)]
+    handed_over = inside[~_json_certain(inside)].tolist()
+    assert all(_handed_to_encoder(x) for x in handed_over) and len(handed_over) < len(inside) / 100
+
+
+def _round_trip_ties(count: int) -> list[float]:
+    """Doubles x in [2**54, 2**57) with a multiple of 10 exactly half an ulp
+    away: the nearest 16-digit decimal reads back as x only if x's
+    significand is even.  With ulp u (4, 8 or 16), x = 10 j - u / 2."""
+    found = []
+    for shift, u in ((54, 4), (55, 8), (56, 16)):
+        start = 2**shift // 10 + 1
+        for j in range(start, start + 10 * count):
+            x = 10 * j - u // 2
+            if x % u == 0 and x < 2 ** (shift + 1) and len(found) < 3 * count:
+                found.append(float(x))
+    return found
+
+
+def test_json_kernel_hands_near_ties_to_the_encoder():
+    # a candidate exactly on the rounding boundary (round-half-even decides),
+    # 17-digit ties, doubles within 2**-48 of a 17-digit tie, and doubles
+    # halfway between two 16-digit decimals that both read back (k / 4 for
+    # odd k in [2**51, 4e15): 2.5 k has its last digit 5 in units of 0.01,
+    # and half an ulp is 0.0625)
+    boundary = _round_trip_ties(100)
+    assert len(boundary) == 300
+    rng = np.random.default_rng(33)
+    k = 2 * rng.integers(2 * 10**15, 45 * 10**14, 500) + 1
+    halfway = (2 * rng.integers(2**50 + 1, 2 * 10**15, 500) + 1) / 4
+    near = _near_ties(60)
+    values = boundary + (k / 4).tolist() + halfway.tolist() + near
+    _json_kernel_text(values + [-v for v in values])
+    assert not _json_certain(boundary + halfway.tolist()).any()
+    assert all(map(_handed_to_encoder, boundary + halfway.tolist()))
+
+
+@pytest.mark.parametrize("rows", sorted(set(_EDGES) | {
+    _JSON_CROSSOVER - 1, _JSON_CROSSOVER, _BLOCK + _JSON_CROSSOVER - 1, _BLOCK + _JSON_CROSSOVER}))
+@pytest.mark.parametrize("build", [_random_trace, _walk_trace], ids=["random", "walk"])
+def test_json_writer_matches_reference_at_block_edges(rows, build):
+    # float blocks below _JSON_CROSSOVER values go through the C encoder, from
+    # it on through the kernel; times always through the encoder
+    trace = build(rows) if rows else _random_trace(0)
+    got, want = io.StringIO(), io.StringIO()
+    trace.to_json(got)
+    trace_reference.to_json(trace, want)
+    assert got.getvalue() == want.getvalue()
+    _assert_reads_back(got.getvalue(), trace)
+
+
+def _json_document(**columns) -> io.StringIO:
+    cols = {"t": [0, 1], "p_vstar": [0.5, 0.25], "re_psi_clique_in": [0.5, 0.1],
+            "im_psi_clique_in": [0, 0], "re_psi_star_in": [0.1, 0.2], "im_psi_star_in": [0, 0]}
+    return io.StringIO(json.dumps({"metadata": {}, "columns": {**cols, **columns}}))
+
+
+@pytest.mark.parametrize("times", [[0, 1.5], [0, 1.0], [0, 2**63], [0, "1"]],
+                         ids=["fraction", "float", "beyond-int64", "string"])
+def test_json_reader_refuses_a_time_that_is_not_an_int64_integer(times):
+    # numpy would truncate 1.5 to 1; the CSV reader refuses such a row too
+    with pytest.raises(ValueError, match="^column t holds a time"):
+        ProbabilityTrace.from_json(_json_document(t=times))
+    assert ProbabilityTrace.from_json(_json_document(t=[-2**63, 2**63 - 1])).times.tolist() == [
+        -2**63, 2**63 - 1]
+
+
+@pytest.mark.parametrize("name", COLUMNS)
+def test_json_reader_refuses_columns_of_different_lengths(name):
+    # a one-value column would be broadcast over the others
+    with pytest.raises(ValueError, match=f"^column {name} is shorter than column "):
+        ProbabilityTrace.from_json(_json_document(**{name: [0]}))
+
+
+if given is not None:
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(values=st.lists(st.one_of(st.integers(0, 2**64 - 1).map(_bits_to_float), st.floats()),
+                           min_size=1, max_size=40))
+    def test_json_kernel_spells_any_float64_bit_pattern(values):
+        _json_kernel_text(values)
 
 
 # the edges of one and of two write blocks, and a trace of four blocks and a bit
