@@ -321,19 +321,14 @@ def _assert_reads_back(text: str, trace: ProbabilityTrace) -> None:
     """``from_json`` reads ``text`` back as ``trace`` bit for bit, but for
     NaN: JSON has one, so every NaN reads back as np.nan."""
     def canonical(col):
-        col = np.array(col)
-        if col.dtype.kind == "c":
-            col.real[np.isnan(col.real)] = np.nan
-            col.imag[np.isnan(col.imag)] = np.nan
-        elif col.dtype.kind == "f":
-            col[np.isnan(col)] = np.nan
+        col = np.array(col, np.complex128)
+        col.real[np.isnan(col.real)] = np.nan
+        col.imag[np.isnan(col.imag)] = np.nan
         return col
 
-    parsed = ProbabilityTrace.from_json(io.StringIO(text))
-    for name in ("times", "p_hub", "psi_clique_in", "psi_star_in"):
-        got, want = getattr(parsed, name), canonical(getattr(trace, name))
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    assert parsed.metadata == trace.metadata
+    want = ProbabilityTrace(trace.times, trace.p_hub, canonical(trace.psi_clique_in),
+                            canonical(trace.psi_star_in), trace.metadata)
+    _assert_same_trace(ProbabilityTrace.from_json(io.StringIO(text)), want)
 
 
 def _json_certain(values) -> np.ndarray:
