@@ -6,14 +6,16 @@ orthogonal matrix.  This module builds that matrix from closed-form entries
 (validated against the conjugated full operator in the test suite) and
 iterates it, which keeps clique sizes of 10^6 and beyond on a desk.
 
-``hub_series`` iterates in blocks of ``_BLOCK`` steps: the powers
+``hub_series`` iterates in spans of ``_BLOCK`` steps: the powers
 M^0 .. M^(B-1) of the step operator are built once per call by successive
-5x5 products, every row of a block is one of those powers applied to the
-block's start state, and the next block starts one step after the block's
-last state.  Each row is thus M^k applied to a state reached by stepping,
-with k < B.  Its rounding error is of the same order as that of stepping
-one step at a time, O(t eps) after t steps: both lie about as far from
-the closed form, and within 1.3e-13 of each other, over 5e4 steps.
+5x5 products, every row of a span is one of those powers applied to the
+span's start state, and the next span starts one step after the span's
+last state.  ``hub_blocks`` hands out the same rows a block of rows at a
+time, carrying the powers and the state from block to block.  Each row
+is thus M^k applied to a state reached by stepping, with k < B.  Its
+rounding error is of the same order as that of stepping one step at a
+time, O(t eps) after t steps: both lie about as far from the closed form,
+and within 1.3e-13 of each other, over 5e4 steps.
 
 Validated step range: the iteration drifts from the closed form
 (``EigenbasisEvaluator.hub_series``) linearly in t, mostly through the
@@ -39,7 +41,7 @@ import numpy as np
 from .graph import HUB_BOUND, INVERSE_CLASS, ArcClass, LeafPhase, class_sizes
 from .trace import (
     HubSeries,
-    ProbabilityTrace,
+    SeriesTrace,
     hub_probability,
     step_counts,
     trace_metadata,
@@ -77,7 +79,7 @@ class ReducedOperators:
     discriminant: np.ndarray  # float64, (3, 3)
 
 
-_BLOCK = 256  # steps per stacked product of step powers in hub_series
+_BLOCK = 256  # steps per span: per stacked product of step powers
 
 #: Arc-inversion permutation on the five classes: row c picks class
 #: INVERSE_CLASS[c].
@@ -138,46 +140,65 @@ def ascending_steps(times) -> np.ndarray:
     return steps
 
 
-def hub_series(ops: ReducedOperators, state: CollapsedState, times) -> HubSeries:
-    """Hub series after each of the ascending step counts ``times`` from
-    ``state``, iterating the reduced step operator a block of steps at a
-    time; only the requested rows are kept."""
-    steps = ascending_steps(times)
+def _hub_spans(ops: ReducedOperators, state: CollapsedState, span: int, chunks):
+    """For each array of ascending step counts in ``chunks``, each after the
+    one before, the hub series there from ``state``.  The powers M^0 ..
+    M^(span-1) are built once, and the state at the start of the latest
+    span is carried from chunk to chunk."""
     evolution = ops.evolution
     psi = state.amplitudes  # no product below writes to its input
-    hub = np.empty((len(steps), 2), dtype=np.complex128)
-    if len(steps):
-        span = min(_BLOCK, int(steps[-1]) + 1)
-        powers = np.empty((span, 5, 5))
-        powers[0] = np.eye(5)
-        for k in range(1, span):
-            np.matmul(evolution, powers[k - 1], out=powers[k])
-        last = powers[-1]
-        # the hub-bound rows of every power, stacked: row 2k + j is row j of M^k
-        hub_rows = powers[:, HUB_BOUND].reshape(-1, 5).astype(np.result_type(powers, psi))
+    powers = np.empty((span, 5, 5))
+    powers[0] = np.eye(5)
+    for k in range(1, span):
+        np.matmul(evolution, powers[k - 1], out=powers[k])
+    last = powers[-1]
+    # the hub-bound rows of every power, stacked: row 2k + j is row j of M^k
+    hub_rows = powers[:, HUB_BOUND].reshape(-1, 5).astype(np.result_type(powers, psi))
+    done = 0
+    for steps in chunks:
+        hub = np.empty((len(steps), 2), dtype=np.complex128)
         block, offset = np.divmod(steps, span)
         bounds = (np.flatnonzero(np.diff(block)) + 1).tolist()
-        done = 0
-        for lo, hi in zip([0, *bounds], [*bounds, len(steps)]):
+        starts = [0, *bounds] if len(steps) else []
+        for lo, hi in zip(starts, [*bounds, len(steps)]):
             for _ in range(int(block[lo]) - done):
                 psi = evolution @ (last @ psi)
             done = int(block[lo])
             rows = offset[lo:hi]
             amps = (hub_rows[: 2 * int(rows[-1]) + 2] @ psi).reshape(-1, 2)
-            amps[0] = psi[HUB_BOUND]  # a block's first row is its start state
+            amps[0] = psi[HUB_BOUND]  # a span's first row is its start state
             hub[lo:hi] = amps[rows]
-    clique_in, star_in = hub[:, 0], hub[:, 1]
-    return hub_probability(clique_in, star_in), clique_in, star_in
+        clique_in, star_in = hub[:, 0], hub[:, 1]
+        yield hub_probability(clique_in, star_in), clique_in, star_in
+
+
+def hub_series(ops: ReducedOperators, state: CollapsedState, times) -> HubSeries:
+    """Hub series after each of the ascending step counts ``times`` from
+    ``state``, iterating the reduced step operator a span of
+    min(``_BLOCK``, last count + 1) steps at a time; only the requested rows
+    are kept."""
+    steps = ascending_steps(times)
+    span = min(_BLOCK, int(steps[-1]) + 1) if len(steps) else 1
+    return next(_hub_spans(ops, state, span, [steps]))
+
+
+def hub_blocks(ops: ReducedOperators, state: CollapsedState, t_max: int, rows: int):
+    """The hub series of steps 0..t_max from ``state``, ``rows`` steps to a
+    block: ``hub_series`` of all of them, in the same spans, one block at a
+    time."""
+    chunks = (np.arange(start, min(start + rows, t_max + 1), dtype=np.int64)
+              for start in range(0, t_max + 1, rows))
+    return _hub_spans(ops, state, min(_BLOCK, t_max + 1), chunks)
 
 
 def evolve_collapsed(
     ops: ReducedOperators, state: CollapsedState, t_max: int
-) -> ProbabilityTrace:
+) -> SeriesTrace:
     """Iterate the reduced step operator, recording the hub trace.
 
     Returns a trace of length ``t_max + 1`` whose row ``t`` holds the state
-    after ``t`` applications of the evolution.
+    after ``t`` applications of the evolution, evaluated on use
+    (``SeriesTrace``).
     """
     metadata = trace_metadata(ops.n_clique, ops.n_leaves, "collapsed", ops.leaf_phase)
-    series = partial(hub_series, ops, state)
-    return ProbabilityTrace.from_series(series, t_max, metadata)
+    return SeriesTrace(partial(hub_blocks, ops, state), t_max, metadata)

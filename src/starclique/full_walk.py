@@ -336,6 +336,36 @@ def _off_diagonal_square(a: np.ndarray, b: np.ndarray) -> float:
     return n * (n - 1) * abs(mean_a + mean_b) ** 2 + spread.real
 
 
+def _addressable(n: int, m: int) -> None:
+    """Refuses (N, m) outside the domain of ``class_sizes``, and an arc
+    count beyond the platform's addressable size."""
+    arcs = sum(class_sizes(n, m))
+    if arcs > sys.maxsize:
+        raise ValueError(f"arc count {arcs} exceeds the platform's addressable size")
+
+
+def _probe(n: int, m: int, walk, count: int) -> HubSeries:
+    """The hub series of the next ``count`` states of ``walk`` (``_advance``)."""
+    p = np.empty(count, dtype=np.float64)
+    clique_in = np.empty(count, dtype=np.complex128)
+    star_in = np.empty(count, dtype=np.complex128)
+    rows = max(1, min(count, _PROBE_ELEMENTS // (n + m)))
+    block = np.empty((rows, n + m))
+    for low in range(0, count, rows):
+        high = min(low + rows, count)
+        for row, (a, b, leaves_in, _) in zip(range(high - low), walk):
+            np.add(b, a[HUB], out=block[row, :n])
+            block[row, n:] = leaves_in
+        incoming = block[: high - low]  # per row: the hub column, then the star
+        incoming[:, HUB] = 0.0
+        p[low:high] = _hub_probability(incoming)
+        clique_in[low:high] = incoming[:, 1:n].sum(axis=1)
+        star_in[low:high] = incoming[:, n:].sum(axis=1)
+    clique_in /= math.sqrt(n - 1)
+    star_in /= math.sqrt(m)
+    return p, clique_in, star_in
+
+
 def hub_series(n: int, m: int, leaf_phase: LeafPhase, times) -> HubSeries:
     """Hub series of the uniform start after each of the ascending step
     counts ``times``; p_hub is measured on the arcs into the hub.  The start
@@ -347,28 +377,16 @@ def hub_series(n: int, m: int, leaf_phase: LeafPhase, times) -> HubSeries:
     ``_PROBE_ELEMENTS`` entries (at least one row), and a few vectorised
     calls per block then zero the hub columns' diagonal entry and read their
     p_hub and the two hub-bound class amplitudes of ``collapse``."""
-    arcs = sum(class_sizes(n, m))
-    if arcs > sys.maxsize:
-        raise ValueError(f"arc count {arcs} exceeds the platform's addressable size")
+    _addressable(n, m)
     steps = ascending_steps(times)
-    p = np.empty(len(steps), dtype=np.float64)
-    clique_in = np.empty(len(steps), dtype=np.complex128)
-    star_in = np.empty(len(steps), dtype=np.complex128)
-    rows = max(1, min(len(steps), _PROBE_ELEMENTS // (n + m)))
-    block = np.empty((rows, n + m))
-    walk = _advance(n, m, None, leaf_phase, steps)
-    for low in range(0, len(steps), rows):
-        chunk = steps[low : low + rows]
-        for row, (a, b, leaves_in, _) in zip(range(len(chunk)), walk):
-            np.add(b, a[HUB], out=block[row, :n])
-            block[row, n:] = leaves_in
-        high = low + len(chunk)
-        incoming = block[: len(chunk)]  # per row: the hub column, then the star
-        incoming[:, HUB] = 0.0
-        p[low:high] = _hub_probability(incoming)
-        clique_in[low:high] = incoming[:, 1:n].sum(axis=1)
-        star_in[low:high] = incoming[:, n:].sum(axis=1)
-    clique_in /= math.sqrt(n - 1)
-    star_in /= math.sqrt(m)
-    return p, clique_in, star_in
+    return _probe(n, m, _advance(n, m, None, leaf_phase, steps), len(steps))
 
+
+def hub_blocks(n: int, m: int, leaf_phase: LeafPhase, t_max: int, rows: int):
+    """The hub series of steps 0..t_max, ``rows`` steps to a block, from one
+    ``_advance`` kept open across blocks; refuses what ``hub_series``
+    refuses on the call."""
+    _addressable(n, m)
+    walk = _advance(n, m, None, leaf_phase, range(t_max + 1))
+    return (_probe(n, m, walk, min(rows, t_max + 1 - start))
+            for start in range(0, t_max + 1, rows))

@@ -2,8 +2,15 @@
 
 A trace row holds the step index, the probability of measuring the hub, and
 the two collapsed amplitudes on arcs arriving at the hub (from the clique
-and from the star).  Serialization keeps 17 significant digits so that a
-parse of an emitted file reproduces the in-memory arrays bit for bit.
+and from the star).  Serialization keeps 17 significant digits, so that a
+parse of an emitted file reproduces every value that is not a NaN bit for
+bit; a NaN, whatever its sign and payload, reads back as the plain NaN
+(0x7ff8000000000000), since both formats spell every NaN alike.
+
+A trace of a series (``SeriesTrace``) is evaluated on use: ``to_csv``
+evaluates, checks and writes one block of _BLOCK rows at a time, so that
+its memory does not grow with the row count, while JSON, being
+column-major, is written from whole columns.
 
 CSV rows are the bytes of ``_CSV_ROW``, Python's "%.17g" for each float.
 Blocks of _CROSSOVER rows or more are spelled by the numpy kernel of
@@ -19,6 +26,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import chain, filterfalse
 
 import numpy as np
@@ -82,6 +90,18 @@ def step_counts(times) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
+def series_blocks(series, t_max: int, rows: int):
+    """The block interface of a series stateless in t: rows 0..t_max of
+    ``series(times) -> HubSeries``, ``rows`` rows to a block, each block its
+    own call.  A last block of one row is evaluated with the row before it:
+    numpy runs a one-row matrix product as a vector one, whose last bits
+    can differ from those of the same row in a longer block."""
+    for start in range(0, t_max + 1, rows):
+        lead = 1 if start == t_max > 0 else 0
+        block = series(np.arange(start - lead, min(start + rows, t_max + 1), dtype=np.int64))
+        yield tuple(column[lead:] for column in block)
+
+
 def trace_metadata(
     n: int, m: int, mode: str, leaf_phase: LeafPhase, alpha: float | None = None
 ) -> dict[str, str]:
@@ -137,6 +157,33 @@ def _row_problem(stream: io.TextIOBase, start: int, number: int, refusal: str) -
     return ""
 
 
+def _check_columns(times, p_hub, psi_clique_in, psi_star_in) -> None:
+    """What every trace holds, and every block of one that is written:
+    columns of one length, and p_vstar in [0, 1] up to _P_SLACK."""
+    n = len(times)
+    for name, column in (("p_hub", p_hub), ("psi_clique_in", psi_clique_in),
+                         ("psi_star_in", psi_star_in)):
+        if len(column) != n:
+            raise ValueError(f"column {name} length differs from times")
+    # min/max carry a NaN through, and every comparison with NaN is False
+    if n and not (p_hub.min() >= -_P_SLACK and p_hub.max() <= 1 + _P_SLACK):
+        raise ValueError("p_vstar outside [0, 1]")
+
+
+def _serialized(times, p_hub, psi_clique_in, psi_star_in) -> list[np.ndarray]:
+    """The six serialized columns, in ``COLUMNS`` order."""
+    return [np.asarray(times, np.int64),
+            *(np.asarray(col, np.float64) for col in
+              (p_hub, psi_clique_in.real, psi_clique_in.imag, psi_star_in.real, psi_star_in.imag))]
+
+
+def _json_column(name: str, values: list):
+    """A JSON column's list as ``from_json`` reads it."""
+    if name == "t":
+        return np.asarray(values)
+    return np.asarray(values, dtype=np.float64) if name in COLUMNS else values
+
+
 def hub_probability(psi_clique_in, psi_star_in):
     """|psi_CLIQUE_IN|^2 + |psi_STAR_IN|^2, the probability of measuring the
     hub, from scalars or arrays of the two hub-bound amplitudes."""
@@ -171,38 +218,22 @@ class ProbabilityTrace:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        n = len(self.times)
-        for name in ("p_hub", "psi_clique_in", "psi_star_in"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"column {name} length differs from times")
-        # min/max carry a NaN through, and every comparison with NaN is False
-        if n and not (self.p_hub.min() >= -_P_SLACK and self.p_hub.max() <= 1 + _P_SLACK):
-            raise ValueError("p_vstar outside [0, 1]")
+        _check_columns(self.times, self.p_hub, self.psi_clique_in, self.psi_star_in)
 
     def __len__(self) -> int:
         return len(self.times)
 
-    @classmethod
-    def from_series(cls, series, t_max: int, metadata: dict[str, str]) -> "ProbabilityTrace":
-        """Rows 0..t_max of ``series(times) -> HubSeries``.  The last time
-        must be a step count (at most 2**63 - 1); numpy's ``arange`` takes
-        its length as a float, which wraps to 0 rows near 2**63, so the row
-        count is checked too."""
-        if t_max < 0:
-            raise ValueError(f"t_max must be nonnegative, got {t_max}")
-        if t_max >= 2**63:
-            raise ValueError(f"a trace to step {t_max} ends beyond 2**63 - 1")
-        steps = np.arange(t_max + 1, dtype=np.int64)
-        if len(steps) != t_max + 1:
-            raise ValueError(f"numpy's arange cannot lay out {t_max + 1} rows")
-        return cls(steps, *series(steps), metadata=metadata)
+    @staticmethod
+    def from_series(series, t_max: int, metadata: dict[str, str]) -> "SeriesTrace":
+        """Rows 0..t_max of ``series(times) -> HubSeries``, evaluated a
+        block at a time on use (``SeriesTrace``)."""
+        return SeriesTrace(partial(series_blocks, series), t_max, metadata)
 
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        """The six serialized columns, in ``COLUMNS`` order."""
-        clique, star = self.psi_clique_in, self.psi_star_in
-        return (np.asarray(self.times, np.int64),
-                *(np.asarray(col, np.float64) for col in
-                  (self.p_hub, clique.real, clique.imag, star.real, star.imag)))
+    def _row_blocks(self):
+        """The six serialized columns, a block of _BLOCK rows at a time."""
+        cols = _serialized(self.times, self.p_hub, self.psi_clique_in, self.psi_star_in)
+        for start in range(0, len(self), _BLOCK):
+            yield [col[start:start + _BLOCK] for col in cols]
 
     # ---- CSV ----
 
@@ -213,9 +244,7 @@ class ProbabilityTrace:
         for key, value in self.metadata.items():
             stream.write(f"# {key}={value}\n")
         stream.write(",".join(COLUMNS) + "\n")
-        cols = self._columns()
-        for start in range(0, len(self), _BLOCK):
-            block = [col[start:start + _BLOCK] for col in cols]
+        for block in self._row_blocks():
             if len(block[0]) < _CROSSOVER:
                 stream.write("".join(map(_CSV_ROW.__mod__, zip(*(col.tolist() for col in block)))))
             else:
@@ -270,7 +299,8 @@ class ProbabilityTrace:
         # the bytes of json.dump({"metadata": ..., "columns": ...}, indent=1)
         metadata = json.dumps(dict(self.metadata), indent=1).replace("\n", "\n ")
         stream.write('{\n "metadata": %s,\n "columns": {' % metadata)
-        for i, (name, col) in enumerate(zip(COLUMNS, self._columns())):
+        columns = _serialized(self.times, self.p_hub, self.psi_clique_in, self.psi_star_in)
+        for i, (name, col) in enumerate(zip(COLUMNS, columns)):
             stream.write('%s\n  "%s": [' % ("," if i else "", name))
             for start in range(0, len(col), _BLOCK):
                 block = col[start:start + _BLOCK]
@@ -285,13 +315,21 @@ class ProbabilityTrace:
 
     @classmethod
     def from_json(cls, stream: io.TextIOBase) -> "ProbabilityTrace":
-        """The trace ``to_json`` wrote.  Every column must hold as many
-        values as the others, and ``t`` only integers within int64, as
-        ``from_csv`` requires; numpy would broadcast a one-value column
-        and truncate a fractional time."""
-        payload = json.load(stream)
+        """The trace ``to_json`` wrote.  Every column must be there and hold
+        as many values as the others, and ``t`` only integers within int64,
+        as ``from_csv`` requires; numpy would broadcast a one-value column
+        and truncate a fractional time.
+
+        The document is parsed as ``json.load`` parses it, with json's own
+        errors, but each column's list becomes an array as soon as it is
+        scanned (``json_columns``), so that one list is held at a time."""
+        from .json_columns import load_columns  # imported on first use: only readers need it
+        payload = load_columns(stream.read(), _json_column)
         cols = payload["columns"]
-        lengths = {name: len(cols[name]) for name in COLUMNS}
+        try:
+            lengths = {name: len(cols[name]) for name in COLUMNS}
+        except KeyError as missing:
+            raise ValueError(f"missing column {missing.args[0]}") from None
         short = min(lengths, key=lengths.get)
         if lengths[short] != max(lengths.values()):
             longest = max(lengths, key=lengths.get)
@@ -307,3 +345,57 @@ class ProbabilityTrace:
             psi_star_in=_complex(cols["re_psi_star_in"], cols["im_psi_star_in"]),
             metadata={k: str(v) for k, v in payload["metadata"].items()},
         )
+
+
+class SeriesTrace(ProbabilityTrace):
+    """Rows 0..t_max of ``blocks(t_max, rows)``, an iterator of ``HubSeries``
+    of ``rows`` rows each (the last one shorter), evaluated on use.
+
+    ``to_csv`` evaluates, checks as ``ProbabilityTrace`` checks its columns
+    and writes one block of _BLOCK rows at a time: it never holds more.  The
+    first read of a column (``to_json`` reads all of them) evaluates every
+    row once, from the same blocks, and keeps the arrays.  The last time
+    must be a step count (at most 2**63 - 1), and the row count one that
+    numpy's ``arange`` lays out: it takes its length as a float, which from
+    2**63 - 512 rows on rounds to 2**63 and wraps to 0 rows."""
+
+    def __init__(self, blocks, t_max: int, metadata: dict[str, str]):
+        if t_max < 0:
+            raise ValueError(f"t_max must be nonnegative, got {t_max}")
+        if t_max >= 2**63:
+            raise ValueError(f"a trace to step {t_max} ends beyond 2**63 - 1")
+        if float(t_max + 1) >= 2**63:
+            raise ValueError(f"numpy's arange cannot lay out {t_max + 1} rows")
+        object.__setattr__(self, "metadata", metadata)
+        object.__setattr__(self, "_blocks", partial(blocks, t_max, _BLOCK))
+        object.__setattr__(self, "_rows", t_max + 1)
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def _hub_blocks(self):
+        """Each block with its times, checked."""
+        start = 0
+        for block in self._blocks():
+            times = np.arange(start, start + len(block[0]), dtype=np.int64)
+            _check_columns(times, *block)
+            yield times, *block
+            start += len(times)
+
+    def _row_blocks(self):
+        return (_serialized(*block) for block in self._hub_blocks())
+
+    @cached_property
+    def _arrays(self) -> ProbabilityTrace:
+        arrays = (np.arange(self._rows, dtype=np.int64), np.empty(self._rows),
+                  np.empty(self._rows, np.complex128), np.empty(self._rows, np.complex128))
+        for block in self._hub_blocks():
+            start = block[0][0]
+            for array, part in zip(arrays[1:], block[1:]):
+                array[start:start + len(part)] = part
+        return ProbabilityTrace(*arrays, metadata=self.metadata)
+
+    times = property(lambda self: self._arrays.times)
+    p_hub = property(lambda self: self._arrays.p_hub)
+    psi_clique_in = property(lambda self: self._arrays.psi_clique_in)
+    psi_star_in = property(lambda self: self._arrays.psi_star_in)

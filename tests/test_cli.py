@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import io
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 import starclique as sc
 from starclique.cli import _PHASES, build_parser, main
 from starclique.modes import MODES
-from starclique.trace import ProbabilityTrace
+from starclique.trace import _BLOCK, ProbabilityTrace
 
 
 def read_trace(path):
@@ -101,6 +102,77 @@ def test_simulate_csv_matches_library_trace(tmp_path, capsys, mode, leaf_phase):
     for column, values in zip(("p_hub", "psi_clique_in", "psi_star_in"), expected):
         assert getattr(parsed, column).tobytes() == values.tobytes()
     assert parsed.metadata["leaf_phase"] == phase.value
+
+
+_EVALUATED = [(mode, phase) for mode, row in MODES.items() for phase in sc.LeafPhase
+              if phase in row.phases]
+
+
+@pytest.mark.parametrize("rows", [1, 2, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("mode, phase", _EVALUATED,
+                         ids=[f"{mode}-{phase.value}" for mode, phase in _EVALUATED])
+def test_streamed_trace_is_the_whole_series(mode, phase, rows):
+    # each block of _BLOCK rows is evaluated on its own call (closed,
+    # asymptotic) or from the state the block before left (collapsed, full);
+    # its rows are those of one call over every time, to the last bit.  At
+    # N + m = 15 the full probe holds 4369 rows, more than a block.
+    m = sc.leaves_from_alpha(12, 0.5)
+    trace = sc.hub_trace(mode, 12, m, rows - 1, phase, 0.5)
+    times = np.arange(rows, dtype=np.int64)
+    whole = ProbabilityTrace(times, *MODES[mode].series(12, m, phase, 0.5)(times),
+                             metadata=trace.metadata)
+    streamed, want = io.StringIO(), io.StringIO()
+    trace.to_csv(streamed)  # no column evaluated yet
+    assert "_arrays" not in vars(trace)
+    whole.to_csv(want)
+    assert streamed.getvalue() == want.getvalue()
+    for name in ("times", "p_hub", "psi_clique_in", "psi_star_in"):
+        assert getattr(trace, name).tobytes() == getattr(whole, name).tobytes(), name
+
+
+@pytest.mark.parametrize("mode, n", [("full", 5), ("collapsed", 1000), ("closed", 1000),
+                                     ("asymptotic", 1000)])
+def test_simulate_csv_memory_does_not_grow_with_steps(tmp_path, capsys, mode, n):
+    # the whole trace used to be evaluated before a row was written: 57 to
+    # 120 bytes a row, 12 to 21 MB at 2e5 steps; now one block is held
+    def peak(steps: int) -> int:
+        args = ["simulate", "--n", str(n), "--alpha", "0.5", "--steps", str(steps),
+                "--mode", mode, "--out", str(tmp_path / "trace.csv")]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(200)  # imports and caches, on a trace past the CSV kernel's crossover
+    short, long = peak(20_000), peak(200_000)
+    assert long <= 1.25 * short, (short, long)
+    assert len(read_trace(tmp_path / "trace.csv")) == 200_001
+    capsys.readouterr()
+
+
+def test_a_refused_block_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # every block is checked as a trace is before it is written; a refusal
+    # in the second block, after the first went to the temp file, leaves
+    # nothing behind
+    series, written = sc.asymptotics.hub_series, []
+
+    def overshoot(n, alpha, times):
+        p, clique_in, star_in = series(n, alpha, times)
+        if times[0] >= _BLOCK:
+            written.extend(path.stat().st_size for path in tmp_path.iterdir())
+            p = p + 2.0
+        return p, clique_in, star_in
+
+    monkeypatch.setattr(sc.asymptotics, "hub_series", overshoot)
+    out = tmp_path / "t.csv"
+    code = main(["simulate", "--n", "1000", "--alpha", "0.5", "--steps", str(2 * _BLOCK),
+                 "--mode", "asymptotic", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: p_vstar outside [0, 1]\n"
+    assert len(written) == 1 and written[0] > 50 * _BLOCK  # the first block, in the temp file
+    assert not any(tmp_path.iterdir())
 
 
 def test_simulate_mode_choices_are_the_table():

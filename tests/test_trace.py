@@ -14,6 +14,7 @@ import pytest
 import trace_reference
 
 import starclique as sc
+from starclique import json_columns
 from starclique.modes import MODES
 from starclique.csv_rows import _float_fields, _tables, csv_rows, json_items
 from starclique.trace import (
@@ -75,7 +76,7 @@ def _random_trace(rows: int) -> ProbabilityTrace:
 
 
 def _assert_same_trace(parsed: ProbabilityTrace, trace: ProbabilityTrace) -> None:
-    # bit for bit, so a -0.0 and each NaN payload must survive
+    # bit for bit, so a -0.0 must survive; every NaN here is the plain one
     for name in ("times", "p_hub", "psi_clique_in", "psi_star_in"):
         got, want = getattr(parsed, name), getattr(trace, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
@@ -517,6 +518,199 @@ def test_json_reader_refuses_columns_of_different_lengths(name):
     # a one-value column would be broadcast over the others
     with pytest.raises(ValueError, match=f"^column {name} is shorter than column "):
         ProbabilityTrace.from_json(_json_document(**{name: [0]}))
+
+
+@pytest.mark.parametrize("name", COLUMNS)
+def test_json_reader_names_a_missing_column(name):
+    # json.load's dict raised KeyError('<name>'); the CSV reader, too, says what is wrong
+    payload = json.loads(_json_document().getvalue())
+    del payload["columns"][name]
+    with pytest.raises(ValueError, match=f"^missing column {name}$"):
+        ProbabilityTrace.from_json(io.StringIO(json.dumps(payload)))
+
+
+_NAN_BITS = [0xFFF8000000000000, 0x7FF8000000000001, 0xFFF0000000000001, 0x7FF8000000000000]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_nan_reads_back_as_the_plain_nan(fmt):
+    # "%.17g" spells every NaN nan and JSON NaN, so a sign bit or a payload
+    # is lost; every other value, -0.0, subnormals and infinities included,
+    # keeps its bits
+    nans = np.array(_NAN_BITS, dtype=np.uint64).view(np.float64)
+    trace = ProbabilityTrace(
+        times=np.arange(4, dtype=np.int64), p_hub=np.array([0.25, 0.0, 1.0, 5e-324]),
+        psi_clique_in=_pair(nans, [1.5, -0.0, 5e-324, np.inf]),
+        psi_star_in=_pair([-0.0, 0.1, -np.inf, 1 / 3], nans[::-1]),
+    )
+    buffer = io.StringIO()
+    getattr(trace, f"to_{fmt}")(buffer)
+    parsed = getattr(ProbabilityTrace, f"from_{fmt}")(io.StringIO(buffer.getvalue()))
+    assert parsed.p_hub.tobytes() == trace.p_hub.tobytes()
+    for name in ("psi_clique_in", "psi_star_in"):
+        want = getattr(trace, name).view(np.float64)
+        got = getattr(parsed, name).view(np.float64).view(np.uint64)
+        nan = np.isnan(want)
+        assert (got[~nan] == want[~nan].view(np.uint64)).all(), name
+        assert (got[nan] == 0x7FF8000000000000).all(), name
+
+
+# a trace document as to_json lays it out, and variants of it
+_JSON_TEXT = json.dumps({"metadata": {"n": "3"}, "columns": {
+    name: [0, 1] if name == "t" else [0.5, 0.25] for name in COLUMNS}}, indent=1)
+_COLUMNS_AT = _JSON_TEXT.index('"columns"')
+
+
+def _with_columns(columns: str) -> str:
+    return '{"metadata": {}, "columns": {%s}}' % columns
+
+
+_GOOD = ", ".join(f'"{name}": [0, 1]' if name == "t" else f'"{name}": [0.5, 0.25]'
+                  for name in COLUMNS)
+
+#: Documents json.loads refuses: the JSON reader must raise its error.
+_MALFORMED = {
+    "truncated": _JSON_TEXT[:-3],
+    "trailing-data": _JSON_TEXT + "x",
+    "second-document": _JSON_TEXT + "{}",
+    "missing-colon": _JSON_TEXT.replace('"t":', '"t"'),
+    "missing-comma": _JSON_TEXT.replace("],", "]", 1),
+    "missing-comma-in-column": _JSON_TEXT.replace("0.5,", "0.5", 1),
+    "semicolon-for-comma": _JSON_TEXT.replace("],", "];", 1),
+    "equals-for-colon": _JSON_TEXT.replace('"t":', '"t"='),
+    "trailing-comma-in-column": '{"columns": {"t": [1,]}}',
+    "trailing-comma-in-columns": _with_columns(_GOOD + ","),
+    "trailing-comma-at-top": '{"columns": {}, }',
+    "top-level-array": "[1, 2",
+    "empty": "",
+    "whitespace": " \n\t",
+    "byte-order-mark": "\ufeff" + _JSON_TEXT,
+    "single-quotes": "{'columns': {}}",
+    "unquoted-name": '{"columns": {t: [0]}}',
+    "unterminated-name": '{"colu',
+    "invalid-escape": '{"col\\x": 1}',
+    "control-character": '{"a\nb": 1}',
+    "bare-word": _with_columns('"t": [0, nan]'),
+}
+
+
+@pytest.mark.parametrize("text", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_json_reader_raises_json_errors(text):
+    # the column-at-a-time walk accepts nothing json.loads refuses, and what
+    # it refuses json.loads parses again, for json's own error.  On a trailing
+    # comma the C scanner raises StopIteration(21), which must not get out
+    with pytest.raises(Exception) as want:
+        json.loads(text)
+    with pytest.raises(Exception) as got:
+        ProbabilityTrace.from_json(io.StringIO(text))
+    assert (got.type, str(got.value)) == (want.type, str(want.value))
+
+
+def test_json_reader_raises_json_errors_on_every_truncation():
+    for end in range(len(_JSON_TEXT)):
+        text = _JSON_TEXT[:end]
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(text)
+        with pytest.raises(json.JSONDecodeError) as got:
+            ProbabilityTrace.from_json(io.StringIO(text))
+        assert str(got.value) == str(want.value), end
+
+
+#: Documents json.loads reads: the JSON reader must return or raise what the
+#: same checks return or raise on json.loads' lists.
+_ODD = {
+    "as-written": _JSON_TEXT,
+    "crlf-and-tabs": _JSON_TEXT.replace("\n", "\r\n\t"),
+    "no-whitespace": json.dumps(json.loads(_JSON_TEXT), separators=(",", ":")),
+    "repeated-column": _with_columns('"t": [5, 6, 7], ' + _GOOD),
+    "repeated-columns": '{"metadata": {}, "columns": {"t": [9]}, "columns": {%s}}' % _GOOD,
+    "repeated-metadata": '{"metadata": {"a": "1"}, "columns": {%s}, "metadata": {"b": 2}}' % _GOOD,
+    "nan-and-infinity": _with_columns(_GOOD.replace("[0.5, 0.25]", "[NaN, -Infinity]")
+                                      .replace('"p_vstar": [NaN, -Infinity]', '"p_vstar": [0, 1]')),
+    "infinite-probability": _with_columns(_GOOD.replace('"p_vstar": [0.5, 0.25]',
+                                                        '"p_vstar": [Infinity, 0]')),
+    "column-a-number": _with_columns(_GOOD.replace("[0.5, 0.25]", "5", 1)),
+    "column-an-object": _with_columns(_GOOD.replace("[0.5, 0.25]", '{"a": [1]}', 1)),
+    "column-a-string": _with_columns(_GOOD.replace("[0.5, 0.25]", '"ab"', 1)),
+    "string-in-a-float-column": _with_columns(_GOOD.replace("[0.5, 0.25]", '[0.5, "x"]', 1)),
+    "string-in-the-time-column": _with_columns(_GOOD.replace("[0, 1]", '[0, "1"]')),
+    "nested-lists": _with_columns(_GOOD.replace("[0.5, 0.25]", "[[0.5], [0.25]]", 1)),
+    "ragged-lists": _with_columns(_GOOD.replace("[0.5, 0.25]", "[[0.5], [0.25, 1]]", 1)),
+    "null-in-a-column": _with_columns(_GOOD.replace("[0.5, 0.25]", "[null, 0.25]", 1)),
+    "extra-column": _with_columns(_GOOD + ', "extra": [1, 2, 3]'),
+    "no-rows": _with_columns(", ".join(f'"{name}": []' for name in COLUMNS)),
+    "missing-column": _with_columns(_GOOD.replace('"im_psi_star_in"', '"other"')),
+    "no-columns": '{"metadata": {}}',
+    "columns-a-list": '{"metadata": {}, "columns": [1]}',
+    "no-metadata": '{"columns": {%s}}' % _GOOD,
+    "metadata-a-list": '{"metadata": [1], "columns": {%s}}' % _GOOD,
+    "top-level-array": "[1, 2]",
+    "top-level-string": '"columns"',
+}
+
+
+def _outcome(text: str):
+    try:
+        trace = ProbabilityTrace.from_json(io.StringIO(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return trace.metadata, [(getattr(trace, name).dtype, getattr(trace, name).tobytes())
+                            for name in ("times", "p_hub", "psi_clique_in", "psi_star_in")]
+
+
+@pytest.mark.parametrize("text", list(_ODD.values()), ids=list(_ODD))
+def test_json_reader_reads_as_json_loads_would(text, monkeypatch):
+    got = _outcome(text)
+    monkeypatch.setattr(json_columns, "load_columns", lambda text, convert: json.loads(text))
+    assert got == _outcome(text)
+
+
+def test_json_columns_are_converted_as_they_are_scanned():
+    # each list of "columns" goes to the conversion at once, in document
+    # order; other values, and lists elsewhere, are json.loads' own
+    text = ('{"metadata": {"a": [1]}, "columns": {"t": [0], "x": 5, "t": [1, 2], '
+            '"y": [NaN]}, "other": [3]}')
+    calls = []
+
+    def convert(name, values):
+        calls.append((name, values))
+        return f"converted {name}"
+
+    document = json_columns.load_columns(text, convert)
+    assert calls[:2] == [("t", [0]), ("t", [1, 2])] and calls[2][0] == "y"
+    assert math.isnan(calls[2][1][0])
+    assert document == {"metadata": {"a": [1]}, "other": [3],
+                        "columns": {"t": "converted t", "x": 5, "y": "converted y"}}
+    assert list(document["columns"]) == ["t", "x", "y"]
+
+
+def test_json_read_holds_one_column_list_at_a_time(tmp_path, monkeypatch):
+    # json.load held all six columns as lists of Python floats, 32 bytes a
+    # value, before any became an array.  Now reading the text costs its
+    # bytes and its str at once, and parsing it the arrays and one list.
+    trace = sc.hub_trace("closed", 1000, 31, 33_000 - 1, sc.LeafPhase.REVERSAL)
+    path = tmp_path / "trace.json"
+    with open(path, "w") as stream:
+        trace.to_json(stream)
+
+    def read():
+        with open(path) as stream:
+            tracemalloc.start()
+            try:
+                return ProbabilityTrace.from_json(stream), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    parsed, peak = read()
+    _assert_same_trace(parsed, trace)
+    monkeypatch.setattr(json_columns, "load_columns", lambda text, convert: json.loads(text))
+    whole, whole_peak = read()  # the reader before: json.load, then the columns
+    _assert_same_trace(whole, trace)
+    size = path.stat().st_size
+    arrays = sum(getattr(parsed, name).nbytes for name in ("times", "p_hub", "psi_clique_in", "psi_star_in"))
+    one_list = 32 * len(parsed)
+    assert peak < 1.1 * max(2 * size, size + arrays + one_list), (peak, size, arrays)
+    assert peak <= 0.75 * whole_peak, (peak, whole_peak)
 
 
 if given is not None:
