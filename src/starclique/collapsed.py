@@ -41,6 +41,7 @@ import numpy as np
 from .graph import HUB_BOUND, INVERSE_CLASS, ArcClass, LeafPhase, class_sizes
 from .trace import (
     HubSeries,
+    ProbabilityTrace,
     SeriesTrace,
     hub_probability,
     step_counts,
@@ -193,12 +194,11 @@ def hub_blocks(ops: ReducedOperators, state: CollapsedState, t_max: int, rows: i
 
 def evolve_collapsed(
     ops: ReducedOperators, state: CollapsedState, t_max: int
-) -> SeriesTrace:
+) -> ProbabilityTrace:
     """Iterate the reduced step operator, recording the hub trace.
 
     Returns a trace of length ``t_max + 1`` whose row ``t`` holds the state
-    after ``t`` applications of the evolution, evaluated on use
-    (``SeriesTrace``).
+    after ``t`` applications of the evolution.
     """
     metadata = trace_metadata(ops.n_clique, ops.n_leaves, "collapsed", ops.leaf_phase)
-    return SeriesTrace(partial(hub_blocks, ops, state), t_max, metadata)
+    return SeriesTrace(partial(hub_blocks, ops, state), t_max, metadata).evaluated

@@ -354,10 +354,10 @@ class SeriesTrace(ProbabilityTrace):
     ``to_csv`` evaluates, checks as ``ProbabilityTrace`` checks its columns
     and writes one block of _BLOCK rows at a time: it never holds more.  The
     first read of a column (``to_json`` reads all of them) evaluates every
-    row once, from the same blocks, and keeps the arrays.  The last time
-    must be a step count (at most 2**63 - 1), and the row count one that
-    numpy's ``arange`` lays out: it takes its length as a float, which from
-    2**63 - 512 rows on rounds to 2**63 and wraps to 0 rows."""
+    row once, from the same blocks, and keeps them as ``evaluated``.  The
+    last time must be a step count (at most 2**63 - 1), and the row count
+    one that numpy's ``arange`` lays out: it takes its length as a float,
+    which from 2**63 - 512 rows on rounds to 2**63 and wraps to 0 rows."""
 
     def __init__(self, blocks, t_max: int, metadata: dict[str, str]):
         if t_max < 0:
@@ -386,7 +386,8 @@ class SeriesTrace(ProbabilityTrace):
         return (_serialized(*block) for block in self._hub_blocks())
 
     @cached_property
-    def _arrays(self) -> ProbabilityTrace:
+    def evaluated(self) -> ProbabilityTrace:
+        """Every row, evaluated once from the blocks, as arrays."""
         arrays = (np.arange(self._rows, dtype=np.int64), np.empty(self._rows),
                   np.empty(self._rows, np.complex128), np.empty(self._rows, np.complex128))
         for block in self._hub_blocks():
@@ -395,7 +396,7 @@ class SeriesTrace(ProbabilityTrace):
                 array[start:start + len(part)] = part
         return ProbabilityTrace(*arrays, metadata=self.metadata)
 
-    times = property(lambda self: self._arrays.times)
-    p_hub = property(lambda self: self._arrays.p_hub)
-    psi_clique_in = property(lambda self: self._arrays.psi_clique_in)
-    psi_star_in = property(lambda self: self._arrays.psi_star_in)
+    times = property(lambda self: self.evaluated.times)
+    p_hub = property(lambda self: self.evaluated.p_hub)
+    psi_clique_in = property(lambda self: self.evaluated.psi_clique_in)
+    psi_star_in = property(lambda self: self.evaluated.psi_star_in)

@@ -123,7 +123,7 @@ def test_streamed_trace_is_the_whole_series(mode, phase, rows):
                              metadata=trace.metadata)
     streamed, want = io.StringIO(), io.StringIO()
     trace.to_csv(streamed)  # no column evaluated yet
-    assert "_arrays" not in vars(trace)
+    assert "evaluated" not in vars(trace)
     whole.to_csv(want)
     assert streamed.getvalue() == want.getvalue()
     for name in ("times", "p_hub", "psi_clique_in", "psi_star_in"):
